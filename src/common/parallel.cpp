@@ -19,6 +19,13 @@
  * through the pool mutex, so everything the caller wrote before
  * parallelFor happens-before the workers' reads, and the workers' output
  * writes happen-before the caller's return.
+ *
+ * The pool is built once and never destroyed. std::exit (a fatal error)
+ * runs static destructors, and joining the helpers there would crash in
+ * a forked child, where they do not exist, and abort on a helper, which
+ * would join itself. For the same reason a forked child must not call
+ * parallelFor once the parent has started the pool: it would wait for
+ * helpers that are not there.
  */
 #include "common/parallel.hpp"
 
@@ -72,8 +79,8 @@ class WorkerPool
     static WorkerPool &
     instance()
     {
-        static WorkerPool pool;
-        return pool;
+        static WorkerPool *pool = new WorkerPool; // leaked: see file comment
+        return *pool;
     }
 
     bool
@@ -143,23 +150,12 @@ class WorkerPool
   private:
     WorkerPool() = default;
 
-    ~WorkerPool()
-    {
-        {
-            std::lock_guard<std::mutex> lk(m_);
-            shutdown_ = true;
-        }
-        cv_.notify_all();
-        for (std::thread &t : threads_)
-            t.join();
-    }
-
     /** Grow the pool to @p want threads; requires m_ held. The pool
      *  never shrinks — its high-water mark is the allocation paid once. */
     void
     ensureThreadsLocked(unsigned want)
     {
-        while (threads_.size() < want && !shutdown_)
+        while (threads_.size() < want)
             threads_.emplace_back([this] { workerLoop(); });
     }
 
@@ -194,9 +190,7 @@ class WorkerPool
         // must run that job, or the caller would wait forever.
         std::uint64_t seen = 0;
         for (;;) {
-            cv_.wait(lk, [&] { return shutdown_ || generation_ != seen; });
-            if (shutdown_)
-                return;
+            cv_.wait(lk, [&] { return generation_ != seen; });
             seen = generation_;
             if (index >= active_)
                 continue; // this job wants fewer helpers
@@ -219,7 +213,6 @@ class WorkerPool
     std::condition_variable doneCv_; ///< caller waits for completion
     std::vector<std::thread> threads_;
     unsigned nextWorkerIndex_ = 0;
-    bool shutdown_ = false;
 
     std::uint64_t generation_ = 0;
     std::optional<ParallelBody> body_;

@@ -17,6 +17,9 @@
  *    zero heap allocations. Concurrent parallelFor calls from distinct
  *    threads fall back to the legacy spawn-per-call path (the pool runs
  *    one job at a time), which keeps them correct at the old cost.
+ *    The pool is never destroyed, so a fatal std::exit joins nothing; a
+ *    forked child must not call parallelFor once the parent has started
+ *    the pool, whose helpers do not exist in the child.
  */
 #ifndef BBS_COMMON_PARALLEL_HPP
 #define BBS_COMMON_PARALLEL_HPP

@@ -1,17 +1,24 @@
 /**
  * @file
- * Tests for the common utilities: stats, tables, RNG determinism and the
- * parallel loop.
+ * Tests for the common utilities: stats, tables, RNG determinism, the
+ * parallel loop and the fatal-error exit once its worker pool is live.
  */
 #include <atomic>
+#include <chrono>
 #include <sstream>
+#include <thread>
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+
+#ifndef GTEST_FLAG_SET // googletest < 1.12; same definition as later releases
+#define GTEST_FLAG_SET(name, value) (void)(::testing::GTEST_FLAG(name) = value)
+#endif
 
 namespace bbs {
 namespace {
@@ -139,6 +146,57 @@ TEST(Parallel, HandlesEmptyAndTiny)
     EXPECT_EQ(count.load(), 0);
     parallelFor(3, [&](std::int64_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 3);
+}
+
+/** Run one parallelFor wide enough to give the worker pool helpers. */
+void
+startPool()
+{
+    std::atomic<int> count{0};
+    parallelFor(1024, [&](std::int64_t) { count.fetch_add(1); }, 1);
+    ASSERT_EQ(count.load(), 1024);
+}
+
+// The default ("fast") death test forks, and the pool's helper threads
+// do not exist in the child. A fatal error there must still exit with
+// code 1, so std::exit must not join the helpers. The test starts the
+// pool itself rather than relying on an earlier test to have done so.
+TEST(ParallelDeathTest, FatalExitsWithCodeOneAfterPoolStarted)
+{
+    if (maxWorkerThreads() < 2)
+        GTEST_SKIP() << "a single worker thread never starts the pool";
+    startPool();
+    EXPECT_EXIT(BBS_REQUIRE(false, "after the pool started"),
+                ::testing::ExitedWithCode(1), "requirement failed");
+}
+
+// A fatal error raised on a pool helper must exit with code 1, not abort
+// because the exiting helper tries to join itself. The threadsafe style
+// re-executes the binary for the child, so the child starts its own pool
+// instead of inheriting one whose helpers do not exist.
+TEST(ParallelDeathTest, FatalOnPoolHelperExitsWithCodeOne)
+{
+    if (maxWorkerThreads() < 2)
+        GTEST_SKIP() << "a single worker thread never starts the pool";
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    EXPECT_EXIT(
+        {
+            startPool();
+            const std::thread::id caller = std::this_thread::get_id();
+            // The caller's chunk waits for a helper's fatal error to end
+            // the process; the bound turns a run in which no helper takes
+            // a chunk into "did not die" instead of a hang.
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            parallelFor(2, [&](std::int64_t) {
+                if (std::this_thread::get_id() != caller)
+                    BBS_REQUIRE(false, "raised on a pool helper");
+                while (std::chrono::steady_clock::now() < deadline)
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(10));
+            }, 1);
+        },
+        ::testing::ExitedWithCode(1), "raised on a pool helper");
 }
 
 } // namespace
