@@ -23,17 +23,26 @@
  * The pool is built once and never destroyed. std::exit (a fatal error)
  * runs static destructors, and joining the helpers there would crash in
  * a forked child, where they do not exist, and abort on a helper, which
- * would join itself. For the same reason a forked child must not call
- * parallelFor once the parent has started the pool: it would wait for
- * helpers that are not there.
+ * would join itself.
+ *
+ * Fork: a child forked after the pool starts inherits the pool's state
+ * but none of its helper threads, and its mutexes may have been held by
+ * a parent thread at the fork. Building the pool installs a
+ * pthread_atfork child handler that marks the child's copy dead; the
+ * child's pool-served loops then run serially on the calling thread,
+ * touching no inherited mutex. The check is one relaxed load per
+ * parallelFor — no syscall.
  */
 #include "common/parallel.hpp"
+
+#include <pthread.h>
 
 #include <algorithm>
 #include <condition_variable>
 #include <mutex>
 #include <optional>
 
+#include "common/logging.hpp"
 #include "common/metrics.hpp"
 
 namespace bbs::detail {
@@ -87,7 +96,7 @@ class WorkerPool
     run(std::int64_t n, std::int64_t chunk, ParallelBody fn,
         unsigned helpers)
     {
-        if (helpers == 0) {
+        if (helpers == 0 || forkedChild_.load(std::memory_order_relaxed)) {
             for (std::int64_t i = 0; i < n; ++i)
                 fn(i);
             return true;
@@ -148,7 +157,13 @@ class WorkerPool
     }
 
   private:
-    WorkerPool() = default;
+    WorkerPool()
+    {
+        BBS_REQUIRE(pthread_atfork(nullptr, nullptr, [] {
+                        forkedChild_.store(true, std::memory_order_relaxed);
+                    }) == 0,
+                    "could not install the worker pool's fork handler");
+    }
 
     /** Grow the pool to @p want threads; requires m_ held. The pool
      *  never shrinks — its high-water mark is the allocation paid once. */
@@ -205,6 +220,9 @@ class WorkerPool
                 doneCv_.notify_all();
         }
     }
+
+    /** Set in a forked child (see file comment): no helpers exist. */
+    static inline std::atomic<bool> forkedChild_{false};
 
     std::mutex jobMutex_; ///< serializes whole jobs (try_lock gate)
 

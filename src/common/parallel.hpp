@@ -17,9 +17,10 @@
  *    zero heap allocations. Concurrent parallelFor calls from distinct
  *    threads fall back to the legacy spawn-per-call path (the pool runs
  *    one job at a time), which keeps them correct at the old cost.
- *    The pool is never destroyed, so a fatal std::exit joins nothing; a
- *    forked child must not call parallelFor once the parent has started
- *    the pool, whose helpers do not exist in the child.
+ *    The pool is never destroyed, so a fatal std::exit joins nothing. A
+ *    child forked after the pool started runs its parallel loops
+ *    serially on the calling thread: the parent's helpers do not exist
+ *    in it, and it takes none of the pool's inherited mutexes.
  */
 #ifndef BBS_COMMON_PARALLEL_HPP
 #define BBS_COMMON_PARALLEL_HPP
@@ -88,7 +89,8 @@ workerThreadCapOverride()
 /**
  * Run chunks of [0, n) on the persistent worker pool with @p helpers
  * pool threads assisting the calling thread. Returns false when the
- * pool is busy with another caller's job (fall back to spawning).
+ * pool is busy with another caller's job (fall back to spawning). In a
+ * child forked after the pool started it runs the chunks serially.
  * Defined in common/parallel.cpp.
  */
 bool poolRun(std::int64_t n, std::int64_t chunk, ParallelBody fn,

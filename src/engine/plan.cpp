@@ -367,25 +367,4 @@ MatmulPlan::runAs(PlanKind kind, const Int8Tensor &activations,
     execute(kind, config_.tuning, &activations, nullptr, out);
 }
 
-void
-MatmulPlan::runRowBounded(const PackedOperand &activations,
-                          std::int64_t weightRows, Int32Tensor &out) const
-{
-    BBS_REQUIRE(valid(), "running an empty MatmulPlan");
-    BBS_REQUIRE(!weights_.compressed(),
-                "row-bounded runs need dense bit-plane weights (the "
-                "KV-cache view contract)");
-    BBS_REQUIRE(!activations.compressed(),
-                "activations must be a dense bit-plane operand");
-    std::optional<ScopedEngineConfig> scope;
-    if (!configInert_)
-        scope.emplace(config_);
-#if BBS_OBS
-    RunTimer runTimer{PlanKind::TiledBitSerial};
-#endif
-    bbs::detail::gemmBitSerialKernel(activations.dense(),
-                                     weights_.dense(), out,
-                                     config_.tuning, weightRows);
-}
-
 } // namespace bbs::engine

@@ -138,20 +138,6 @@ class MatmulPlan
     void runAs(PlanKind kind, const Int8Tensor &activations,
                Int32Tensor &out) const;
 
-    /**
-     * Execute against only the first @p weightRows weight rows
-     * (out becomes [N, weightRows]). The growing-N attention entry
-     * point: a KV cache's plane store is a fixed-capacity
-     * BitSerialMatrix view (viewExternal strides derive from the rows
-     * argument, so the view cannot shrink as tokens arrive), and each
-     * decode step scores only the rows holding tokens. Requires dense
-     * (uncompressed) weights — KV views are dense packings — and
-     * executes the tiled bit-serial kernel regardless of the plan's
-     * Auto resolution.
-     */
-    void runRowBounded(const PackedOperand &activations,
-                       std::int64_t weightRows, Int32Tensor &out) const;
-
   private:
     friend class Session;
 

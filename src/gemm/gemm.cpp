@@ -20,9 +20,10 @@ namespace {
 void
 gemmBitSerial1x1(const BitSerialMatrix &activations,
                  const BitSerialMatrix &weights, Int32Tensor &out,
-                 std::int64_t depthBlockWords, std::int64_t k)
+                 std::int64_t depthBlockWords)
 {
     std::int64_t n = activations.rows();
+    std::int64_t k = weights.rows();
     std::int64_t depthWords = activations.usedColWords();
     const SimdKernels &simd = simdKernels();
     parallelFor(n, [&](std::int64_t r) {
@@ -97,8 +98,7 @@ void
 detail::gemmBitSerialKernel(const BitSerialMatrix &activations,
                             const BitSerialMatrix &weights,
                             Int32Tensor &out,
-                            const engine::TuningParams &tuning,
-                            std::int64_t weightRowLimit)
+                            const engine::TuningParams &tuning)
 {
     BBS_REQUIRE(activations.cols() == weights.cols(),
                 "GEMM depth mismatch: ", activations.cols(), " vs ",
@@ -109,12 +109,6 @@ detail::gemmBitSerialKernel(const BitSerialMatrix &activations,
                 ")");
     std::int64_t n = activations.rows();
     std::int64_t k = weights.rows();
-    if (weightRowLimit >= 0) {
-        BBS_REQUIRE(weightRowLimit >= 1 && weightRowLimit <= k,
-                    "weight-row limit ", weightRowLimit,
-                    " outside 1..", k);
-        k = weightRowLimit;
-    }
     // Bound compute by the words that hold columns: the cache-line
     // padding beyond them is all zero bits (up to 7 wasted words per
     // row plane for narrow matrices).
@@ -129,7 +123,7 @@ detail::gemmBitSerialKernel(const BitSerialMatrix &activations,
     std::int64_t depthBlock = tuning.resolvedDepthBlockWords();
 
     if (tuning.tileRows < 2 || tuning.tileCols < 2) {
-        gemmBitSerial1x1(activations, weights, out, depthBlock, k);
+        gemmBitSerial1x1(activations, weights, out, depthBlock);
         return;
     }
 

@@ -85,18 +85,10 @@ ensureOutputShape(Int32Tensor &out, std::int64_t n, std::int64_t k)
  * The engine's TiledBitSerial plan kind executes here; the default
  * tuning derives the depth block from the detected cache topology and
  * runs the 2x1x2 SIMD register tile.
- *
- * @p weightRowLimit bounds the computation to the first that many weight
- * rows (out becomes [N, limit]); -1 = all rows. This is the growing-N
- * attention contract: a KV cache packs tokens into a fixed-capacity
- * plane store (viewExternal strides are capacity-derived, so the view
- * cannot shrink), and each decode step scores only the rows holding
- * tokens instead of the whole capacity.
  */
 void gemmBitSerialKernel(const BitSerialMatrix &activations,
                          const BitSerialMatrix &weights, Int32Tensor &out,
-                         const engine::TuningParams &tuning = {},
-                         std::int64_t weightRowLimit = -1);
+                         const engine::TuningParams &tuning = {});
 
 } // namespace detail
 

@@ -1,41 +1,39 @@
 /**
  * @file
- * Compressed-domain KV cache: per-(layer, head) key/value planes kept in
- * the engine's exact `BitSerialMatrix` layout, appended to incrementally.
+ * Compressed-domain KV cache: per-(layer, head) key/value bit planes
+ * stored as compact 8-word plane groups, appended to incrementally.
  *
  * Each decode step packs ONLY the new token's K/V rows into the existing
- * bit planes — prior tokens are never repacked — and attention's
- * score/value matmuls then run over the same AND+popcount kernels as the
- * weight GEMMs, through `MatmulPlan::runRowBounded` bounded to the rows
- * that hold tokens.
+ * planes — prior tokens are never repacked — and attention's score and
+ * weighted-value products run over the same dispatched AND+popcount
+ * kernel as the compressed GEMM's stage 2 (`compressedGroupDot` with all
+ * eight two's-complement planes stored): one call per token for a score,
+ * one per (dimension, 64-token word) for a weighted value.
  *
- * Layouts (per layer, per head; all plane stores 64-byte aligned,
- * zero-initialised, fixed capacity chosen at construction):
+ * Layouts (one 64-byte-aligned, zero-initialised store each, fixed
+ * capacity chosen at construction, no padding words):
  *
- *  - **K store, token-major**: `[bit][capacity][colWords(dHead)]`, token t
- *    in plane row t. dHead <= 64, so a token's whole k-vector packs via
- *    one `packGroup` (8 plane words) and lands as 8 single-word writes —
- *    word-identical to what `BitSerialMatrix::pack` of the full token
- *    matrix would produce (the append fuzz test pins this). Scores are
- *    q [1, dHead] x K [T, dHead] with T = tokens so far.
- *  - **V store, dim-major**: `[bit][dHead][colWords(capacity)]`, token t
- *    at column t. Appending token t sets bit t%64 of word t/64 in each of
- *    the 8 x dHead row planes. The weighted-value product is then
- *    c [1, capacity] x V [dHead, capacity] with c's columns beyond T
- *    zero — zero activation bits AND away any column, so the fixed-width
- *    GEMM over the full capacity is exact.
+ *  - **K, token-major**: `[layer][head][token][bit]`. dHead <= 64, so a
+ *    token's whole k-vector is one `packGroup` and its 8 plane words are
+ *    the token's group (bit d of plane b = bit b of k[d]) — word-identical
+ *    to row t of `BitSerialMatrix::pack` of the [capacity, dHead] token
+ *    matrix (the append test pins this).
+ *  - **V, dim-major**: `[layer][head][dim][word][bit]`, one group per
+ *    dimension per 64 tokens: token t sets bit t%64 of word t/64's planes
+ *    — word-identical to `BitSerialMatrix::pack` of the [dHead, capacity]
+ *    transpose.
  *
- * The views are created once over fixed-capacity storage
- * (`viewExternal` strides derive from the rows argument, so a view can
- * never shrink or move); growth is an append plus a release-store of the
- * committed length, never a repack or reallocation.
+ * `scores()` takes a packed [1, dHead] query; `values()` takes a packed
+ * probability row of width c <= capacity and reads only the ceil(c/64)
+ * words it covers. Its columns at and beyond the token count must be
+ * zero; V bits there are zero too, so either side ANDs them away.
  *
  * Concurrency contract: one writer (the decode thread). Concurrent
  * reader threads may consume the committed prefix after an acquire of
- * `length()`: all K plane rows < length, and V plane words strictly below
- * length/64 (the in-fill V word is writer-private until it fills — a
- * word holds 64 tokens' bits, so readers bound column access to
- * `length() & ~63`). The decode thread itself reads its own writes and
+ * `length()`: every K group of a token < length, and V words strictly
+ * below length/64 (the in-fill V word is writer-private until it fills
+ * — a word holds 64 tokens' bits, so readers bound word access to
+ * `length() >> 6`). The decode thread itself reads its own writes and
  * has no such restriction.
  */
 #ifndef BBS_LLM_KV_CACHE_HPP
@@ -47,8 +45,7 @@
 #include <vector>
 
 #include "common/aligned.hpp"
-#include "engine/session.hpp"
-#include "gemm/bit_serial_matrix.hpp"
+#include "engine/packed_operand.hpp"
 
 namespace bbs::llm {
 
@@ -61,17 +58,12 @@ struct KvCacheConfig
     std::int64_t capacity = 0; ///< max tokens; rounded up to 64 inside
 };
 
-/**
- * One sequence's K/V planes for every (layer, head), plus the
- * `MatmulPlan`s that score against them. Non-movable once constructed:
- * the plans hold views into the plane stores.
- */
+/** One sequence's K/V plane groups for every (layer, head). */
 class KvCache
 {
   public:
-    /** Allocates the full-capacity plane stores (zeroed) and creates the
-     *  per-(layer, head) score/value plans through @p session. */
-    KvCache(const engine::Session &session, const KvCacheConfig &cfg);
+    /** Allocates the full-capacity plane stores (zeroed). */
+    explicit KvCache(const KvCacheConfig &cfg);
 
     KvCache(const KvCache &) = delete;
     KvCache &operator=(const KvCache &) = delete;
@@ -124,43 +116,36 @@ class KvCache
 
     /**
      * Attention scores: @p q is the packed [1, dHead] query operand;
-     * writes @p out [1, tokens] of integer dots against K rows
-     * 0..tokens-1. Runs the tiled bit-serial kernel row-bounded over the
-     * K view.
+     * writes @p out [1, tokens] of integer dots against K tokens
+     * 0..tokens-1 (1 <= tokens <= capacity).
      */
-    void
-    scores(std::int64_t layer, std::int64_t head,
-           const engine::PackedOperand &q, std::int64_t tokens,
-           Int32Tensor &out) const
-    {
-        scorePlan(layer, head).runRowBounded(q, tokens, out);
-    }
+    void scores(std::int64_t layer, std::int64_t head,
+                const engine::PackedOperand &q, std::int64_t tokens,
+                Int32Tensor &out) const;
 
     /**
-     * Weighted-value product: @p c is the packed [1, capacity] quantised
-     * probability row (columns at and beyond the token count MUST be
-     * zero); writes @p out [1, dHead].
+     * Weighted-value product: @p c is the packed [1, width] quantised
+     * probability row, width <= capacity (columns at and beyond the
+     * token count MUST be zero); writes @p out [1, dHead].
      */
-    void
-    values(std::int64_t layer, std::int64_t head,
-           const engine::PackedOperand &c, Int32Tensor &out) const
+    void values(std::int64_t layer, std::int64_t head,
+                const engine::PackedOperand &c, Int32Tensor &out) const;
+
+    /** Token @p t's K group: kWeightBits plane words, bit d of plane b
+     *  = bit b of k[d]. */
+    const std::uint64_t *
+    kGroup(std::int64_t layer, std::int64_t head, std::int64_t t) const
     {
-        valuePlan(layer, head).runRowBounded(c, cfg_.dHead, out);
+        return kWords_.data() + kOffset(layer, head, t);
     }
 
-    /** The K plane view [capacity, dHead] (fuzz tests compare its words
-     *  against a from-scratch pack). */
-    const BitSerialMatrix &
-    kView(std::int64_t layer, std::int64_t head) const
+    /** The V group of dimension @p d over tokens 64w..64w+63:
+     *  kWeightBits plane words, bit i of plane b = bit b of v[64w+i][d]. */
+    const std::uint64_t *
+    vGroup(std::int64_t layer, std::int64_t head, std::int64_t d,
+           std::int64_t w) const
     {
-        return kViews_[static_cast<std::size_t>(planeIndex(layer, head))];
-    }
-
-    /** The V plane view [dHead, capacity]. */
-    const BitSerialMatrix &
-    vView(std::int64_t layer, std::int64_t head) const
-    {
-        return vViews_[static_cast<std::size_t>(planeIndex(layer, head))];
+        return vWords_.data() + vOffset(layer, head, d, w);
     }
 
   private:
@@ -169,32 +154,26 @@ class KvCache
     {
         return layer * cfg_.heads + head;
     }
-    const engine::MatmulPlan &
-    scorePlan(std::int64_t layer, std::int64_t head) const
+    std::int64_t
+    kOffset(std::int64_t layer, std::int64_t head, std::int64_t t) const
     {
-        return scorePlans_[static_cast<std::size_t>(
-            planeIndex(layer, head))];
+        return (planeIndex(layer, head) * cfg_.capacity + t) * kWeightBits;
     }
-    const engine::MatmulPlan &
-    valuePlan(std::int64_t layer, std::int64_t head) const
+    std::int64_t
+    vOffset(std::int64_t layer, std::int64_t head, std::int64_t d,
+            std::int64_t w) const
     {
-        return valuePlans_[static_cast<std::size_t>(
-            planeIndex(layer, head))];
+        return ((planeIndex(layer, head) * cfg_.dHead + d) * vWordsPerDim_ +
+                w) *
+               kWeightBits;
     }
 
     KvCacheConfig cfg_;
-    std::int64_t kColWords_ = 0; ///< paddedColWords(dHead)
-    std::int64_t vColWords_ = 0; ///< paddedColWords(capacity)
-    std::int64_t kBlockWords_ = 0; ///< K words per (layer, head)
-    std::int64_t vBlockWords_ = 0; ///< V words per (layer, head)
+    std::int64_t vWordsPerDim_ = 0; ///< capacity / 64
     AlignedVector<std::uint64_t> kWords_;
     AlignedVector<std::uint64_t> vWords_;
     std::vector<float> kScales_; ///< [layer * capacity + token]
     std::vector<float> vScales_;
-    std::vector<BitSerialMatrix> kViews_; ///< [layer * heads + head]
-    std::vector<BitSerialMatrix> vViews_;
-    std::vector<engine::MatmulPlan> scorePlans_;
-    std::vector<engine::MatmulPlan> valuePlans_;
     std::atomic<std::int64_t> length_{0};
 };
 

@@ -163,7 +163,7 @@ TransformerModel::makeCache(std::int64_t capacity) const
     kcfg.heads = cfg_.nHeads;
     kcfg.dHead = cfg_.dHead();
     kcfg.capacity = std::clamp<std::int64_t>(capacity, 1, cfg_.maxSeq);
-    return std::make_unique<KvCache>(session_, kcfg);
+    return std::make_unique<KvCache>(kcfg);
 }
 
 void
@@ -174,7 +174,6 @@ TransformerModel::attentionRow(const StepRow &row, std::int64_t layer,
     std::int64_t dModel = cfg_.dModel;
     std::int64_t dHead = cfg_.dHead();
     std::int64_t T = row.pos + 1;
-    std::int64_t cap = cache->capacity();
     std::size_t rowOff = static_cast<std::size_t>(r * dModel);
     std::span<const float> kRow{ws.kf.data() + rowOff,
                                 static_cast<std::size_t>(dModel)};
@@ -203,8 +202,8 @@ TransformerModel::attentionRow(const StepRow &row, std::int64_t layer,
         cache->scores(layer, h, ws.qOp, T, ws.s32);
 
         // Softmax over the dequantised integer scores, then fold each
-        // token's V dequant scale into the probability so the value
-        // product is one more bit-exact integer GEMM.
+        // token's V dequant scale into the probability so the weighted
+        // value stays one exact integer product.
         float maxv = -std::numeric_limits<float>::infinity();
         for (std::int64_t t = 0; t < T; ++t) {
             float s = static_cast<float>(ws.s32.at(0, t)) * qScale *
@@ -225,12 +224,8 @@ TransformerModel::attentionRow(const StepRow &row, std::int64_t layer,
                 cache->vScale(layer, t);
         float cs = quantizeRowTo(
             {ws.cFloat.data(), static_cast<std::size_t>(T)}, ws.c8.data());
-        std::fill(ws.c8.begin() + static_cast<std::ptrdiff_t>(T),
-                  ws.c8.begin() + static_cast<std::ptrdiff_t>(cap),
-                  std::int8_t{0}); // zero columns AND away non-tokens
         BitSerialMatrix::packInto(
-            {ws.c8.data(), static_cast<std::size_t>(cap)}, 1, cap,
-            ws.cPacked);
+            {ws.c8.data(), static_cast<std::size_t>(T)}, 1, T, ws.cPacked);
         cache->values(layer, h, ws.cOp, ws.o32);
         float *attnOut = ws.attn.data() + rowOff +
                          static_cast<std::size_t>(h * dHead);
@@ -273,11 +268,13 @@ TransformerModel::forward(std::span<StepRow> rows, Workspace &ws) const
     ws.c8.resize(static_cast<std::size_t>(maxCap));
     ws.probs.resize(static_cast<std::size_t>(maxCap));
     ws.cFloat.resize(static_cast<std::size_t>(maxCap));
-    // Score row at its high-water mark up front: scores() sizes it to
-    // the live token count, which grows every step — left to amortized
-    // vector growth it would still reallocate mid-decode, breaking the
-    // zero-alloc steady state (micro_llm gates this).
+    // Score row and packed probability row at their high-water marks up
+    // front: both are sized to the live token count, which grows every
+    // step — left to amortized vector growth they would still reallocate
+    // mid-decode, breaking the zero-alloc steady state (micro_llm gates
+    // this).
     ws.s32.resizeTo(Shape{1, maxCap});
+    ws.cPacked.reserve(1, maxCap);
 
     // Embedding lookup.
     for (std::int64_t r = 0; r < R; ++r) {

@@ -6,10 +6,19 @@
  * LM head — is a BBS-compressed `PackedOperand` with its own
  * `MatmulPlan`, all created from one `Session` (so they share the
  * session's tuning cache, and their runs share the per-thread scratch
- * arenas). Attention's score and weighted-value matmuls run over the
- * same bit-plane kernels, row-bounded against the `KvCache` views.
- * Softmax, RMSNorm, RoPE and the INT8 quantisation glue are plain
- * per-row float kernels.
+ * arenas). Attention's score and weighted-value products run over the
+ * same AND+popcount kernel, straight on the `KvCache` plane groups (K
+ * token-major `[layer][head][token][bit]`, V dim-major
+ * `[layer][head][dim][word][bit]`; see llm/kv_cache.hpp): a row at
+ * position p packs its query at dHead columns and its quantised
+ * probability row at T = p + 1 <= capacity columns, so both products
+ * touch only the tokens that exist. Softmax, RMSNorm, RoPE and the INT8
+ * quantisation glue are plain per-row float kernels.
+ *
+ * Cache contract: a step appends each row's K/V at its position before
+ * that row's attention runs, and commits every cache's new length
+ * (pos + 1 of its last row) only after the whole step, so a reader of
+ * `length()` never sees a token with a layer still missing.
  *
  * Numerics contract (what makes continuous batching safe): every float
  * operation — normalisation, quantisation scale choice, RoPE, softmax —
@@ -90,7 +99,7 @@ class TransformerModel
         std::vector<float> rowScale; ///< [R] activation scales
         std::vector<float> gatherNorm; ///< [G, dModel] logit-row gather
         std::vector<std::int8_t> k8, v8, q8; ///< one row each
-        std::vector<std::int8_t> c8;         ///< [capacity] prob row
+        std::vector<std::int8_t> c8;         ///< [T] prob row (capacity-sized)
         std::vector<float> probs;            ///< [T]
         std::vector<float> cFloat;           ///< [T]
         Int8Tensor a8;      ///< batched plan activations
@@ -99,7 +108,8 @@ class TransformerModel
         Int32Tensor o32;    ///< [1, dHead] weighted values
         Int32Tensor logits32;
         BitSerialMatrix qPacked; ///< [1, dHead] packed query
-        BitSerialMatrix cPacked; ///< [1, capacity] packed prob row
+        BitSerialMatrix cPacked; ///< [1, T] packed prob row (reserved to
+                                 ///< the largest capacity)
         engine::PackedOperand qOp; ///< view over qPacked (built once)
         engine::PackedOperand cOp; ///< view over cPacked
     };

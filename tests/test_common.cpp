@@ -3,6 +3,9 @@
  * Tests for the common utilities: stats, tables, RNG determinism, the
  * parallel loop and the fatal-error exit once its worker pool is live.
  */
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <sstream>
@@ -168,6 +171,30 @@ TEST(ParallelDeathTest, FatalExitsWithCodeOneAfterPoolStarted)
     startPool();
     EXPECT_EXIT(BBS_REQUIRE(false, "after the pool started"),
                 ::testing::ExitedWithCode(1), "requirement failed");
+}
+
+// A child forked after the pool started inherits none of its helpers.
+// Its parallelFor must still complete (serially) rather than wait for
+// them; the alarm turns a hang into a SIGALRM death the parent sees.
+TEST(Parallel, ForkedChildCompletesParallelFor)
+{
+    if (maxWorkerThreads() < 2)
+        GTEST_SKIP() << "a single worker thread never starts the pool";
+    startPool();
+    pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        alarm(10);
+        std::atomic<std::int64_t> sum{0};
+        parallelFor(1000, [&](std::int64_t i) { sum.fetch_add(i); }, 1);
+        _exit(sum.load() == 1000 * 999 / 2 ? 0 : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status))
+        << "child killed by signal "
+        << (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
+    EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 // A fatal error raised on a pool helper must exit with code 1, not abort

@@ -3,13 +3,14 @@
  * Transformer decode subsystem tests. The load-bearing invariants:
  *
  *  - **KV append = repack.** Incrementally appending token K/V rows into
- *    the cache's bit planes is word-identical to packing the full token
- *    matrix from scratch with `BitSerialMatrix::pack` — for ragged head
- *    widths, token counts off the 64-column boundary, and any append
- *    order over layers.
+ *    the cache's compact plane groups is word-identical to packing the
+ *    full token matrix (and its transpose) from scratch with
+ *    `BitSerialMatrix::pack` — for ragged head widths, token counts on
+ *    and off the 64-token boundary, and any append order over layers.
  *  - **Compressed-domain attention is exact.** `scores()` / `values()`
- *    running the bit-plane GEMM kernels row-bounded over the cache
- *    reproduce scalar integer dot products.
+ *    running the AND+popcount group kernel over the cache reproduce
+ *    scalar integer dot products, with the probability row packed at
+ *    the token count or at the capacity.
  *  - **Batch composition is unobservable.** A sequence's token stream
  *    from the continuous-batching scheduler is identical to
  *    `generateReference` (the naive unbatched oracle) no matter what it
@@ -35,6 +36,10 @@
 #include "llm/kv_cache.hpp"
 #include "llm/transformer.hpp"
 #include "serve/generation.hpp"
+
+#ifndef GTEST_FLAG_SET // googletest < 1.12; same definition as later releases
+#define GTEST_FLAG_SET(name, value) (void)(::testing::GTEST_FLAG(name) = value)
+#endif
 
 namespace bbs {
 namespace {
@@ -76,36 +81,67 @@ appendRandomTokens(llm::KvCache &cache, std::int64_t tokens, Rng &rng)
     return out;
 }
 
+/**
+ * Every plane word of @p ref (a from-scratch `BitSerialMatrix::pack`)
+ * against the cache's compact groups: @p group(b, row, word) returns the
+ * cached word, or nullptr for a word the compact layout does not store
+ * (the reference's padding), which must then be zero.
+ */
+template <typename GroupWord>
+void
+expectEveryWord(const BitSerialMatrix &ref, GroupWord group,
+                const char *what, std::int64_t l, std::int64_t h)
+{
+    auto words = ref.planeWords();
+    std::int64_t perPlane = ref.rows() * ref.colWords();
+    for (std::int64_t i = 0; i < static_cast<std::int64_t>(words.size());
+         ++i) {
+        int b = static_cast<int>(i / perPlane);
+        std::int64_t r = i % perPlane / ref.colWords();
+        std::int64_t w = i % ref.colWords();
+        const std::uint64_t *got = group(b, r, w);
+        ASSERT_EQ(got != nullptr ? *got : 0ull,
+                  words[static_cast<std::size_t>(i)])
+            << what << " plane " << b << " row " << r << " word " << w
+            << " diverges at layer " << l << " head " << h;
+    }
+}
+
 TEST(KvCache, AppendMatchesFromScratchPack)
 {
-    engine::Session session;
     Rng rng(0xfeed0);
     struct Shape
     {
         std::int64_t layers, heads, dHead, capacity, tokens;
     };
-    // Ragged head widths (64, sub-word 48, odd 17, degenerate 1) and
-    // token counts straddling the 64-column V-word boundary.
+    // Head widths 64, 33 (ragged) and 1 (degenerate), with token counts
+    // on and off the 64-token V-word boundary.
     const Shape shapes[] = {
-        {1, 1, 64, 64, 64},  {2, 2, 48, 128, 65},
-        {1, 3, 17, 192, 63}, {2, 1, 1, 64, 7},
-        {1, 2, 32, 256, 200},
+        {1, 1, 64, 64, 64},   {2, 2, 33, 128, 65},  {1, 3, 33, 192, 128},
+        {2, 1, 1, 64, 7},     {1, 2, 1, 128, 128},  {1, 2, 64, 256, 200},
+        {2, 2, 64, 192, 63},
     };
     for (const Shape &s : shapes) {
-        llm::KvCache cache(
-            session, {s.layers, s.heads, s.dHead, s.capacity});
+        llm::KvCache cache({s.layers, s.heads, s.dHead, s.capacity});
         AppendedTokens toks = appendRandomTokens(cache, s.tokens, rng);
         ASSERT_EQ(cache.length(), s.tokens);
+        const std::int64_t cap = cache.capacity();
+        // No padding: 8 words per token group plus 8 per (dim, V word),
+        // and one K and one V scale per (layer, token).
+        EXPECT_EQ(cache.residentBytes(),
+                  s.layers * s.heads *
+                          (cap + s.dHead * (cap / 64)) * kWeightBits * 8 +
+                      2 * s.layers * cap * 4);
 
         for (std::int64_t l = 0; l < s.layers; ++l) {
             for (std::int64_t h = 0; h < s.heads; ++h) {
                 // K reference: the [capacity, dHead] token matrix
                 // (unwritten rows zero) packed from scratch.
-                std::vector<std::int8_t> kFull(static_cast<std::size_t>(
-                    cache.capacity() * s.dHead));
+                std::vector<std::int8_t> kFull(
+                    static_cast<std::size_t>(cap * s.dHead));
                 // V reference: its [dHead, capacity] transpose.
-                std::vector<std::int8_t> vFull(static_cast<std::size_t>(
-                    s.dHead * cache.capacity()));
+                std::vector<std::int8_t> vFull(
+                    static_cast<std::size_t>(s.dHead * cap));
                 for (std::int64_t t = 0; t < s.tokens; ++t) {
                     const std::int8_t *kRow =
                         toks.k[static_cast<std::size_t>(t)]
@@ -120,28 +156,26 @@ TEST(KvCache, AppendMatchesFromScratchPack)
                     for (std::int64_t d = 0; d < s.dHead; ++d) {
                         kFull[static_cast<std::size_t>(t * s.dHead + d)] =
                             kRow[d];
-                        vFull[static_cast<std::size_t>(
-                            d * cache.capacity() + t)] = vRow[d];
+                        vFull[static_cast<std::size_t>(d * cap + t)] =
+                            vRow[d];
                     }
                 }
-                BitSerialMatrix kRef = BitSerialMatrix::pack(
-                    kFull, cache.capacity(), s.dHead);
-                BitSerialMatrix vRef = BitSerialMatrix::pack(
-                    vFull, s.dHead, cache.capacity());
-
-                auto kGot = cache.kView(l, h).planeWords();
-                auto kWant = kRef.planeWords();
-                ASSERT_EQ(kGot.size(), kWant.size());
-                EXPECT_TRUE(std::equal(kGot.begin(), kGot.end(),
-                                       kWant.begin()))
-                    << "K planes diverge at layer " << l << " head " << h;
-
-                auto vGot = cache.vView(l, h).planeWords();
-                auto vWant = vRef.planeWords();
-                ASSERT_EQ(vGot.size(), vWant.size());
-                EXPECT_TRUE(std::equal(vGot.begin(), vGot.end(),
-                                       vWant.begin()))
-                    << "V planes diverge at layer " << l << " head " << h;
+                // A K token row is one word per plane (dHead <= 64); a V
+                // dimension row is one word per 64 tokens.
+                expectEveryWord(
+                    BitSerialMatrix::pack(kFull, cap, s.dHead),
+                    [&](int b, std::int64_t t, std::int64_t w) {
+                        return w == 0 ? cache.kGroup(l, h, t) + b
+                                      : nullptr;
+                    },
+                    "K", l, h);
+                expectEveryWord(
+                    BitSerialMatrix::pack(vFull, s.dHead, cap),
+                    [&](int b, std::int64_t d, std::int64_t w) {
+                        return w < cap / 64 ? cache.vGroup(l, h, d, w) + b
+                                            : nullptr;
+                    },
+                    "V", l, h);
             }
         }
     }
@@ -149,74 +183,110 @@ TEST(KvCache, AppendMatchesFromScratchPack)
 
 TEST(KvCache, ScoresAndValuesMatchScalarDots)
 {
-    engine::Session session;
     Rng rng(0xfeed1);
-    const std::int64_t layers = 2, heads = 2, dHead = 48, capacity = 128;
-    const std::int64_t tokens = 90; // off the word boundary
-    llm::KvCache cache(session, {layers, heads, dHead, capacity});
-    AppendedTokens toks = appendRandomTokens(cache, tokens, rng);
+    const std::int64_t layers = 2, heads = 2, dHead = 48, capacity = 192;
+    llm::KvCache cache({layers, heads, dHead, capacity});
+    // Every slot holds a token, so a product reading past its bound
+    // would pick up live values.
+    AppendedTokens toks = appendRandomTokens(cache, capacity, rng);
 
     std::vector<std::int8_t> q = randomRow(rng, dHead);
     BitSerialMatrix qPacked = BitSerialMatrix::pack(q, 1, dHead);
     engine::PackedOperand qOp = engine::PackedOperand::viewDense(qPacked);
 
-    std::vector<std::int8_t> c(static_cast<std::size_t>(cache.capacity()),
-                               0);
-    for (std::int64_t t = 0; t < tokens; ++t)
-        c[static_cast<std::size_t>(t)] =
-            static_cast<std::int8_t>(rng.uniformInt(-127, 127));
-    BitSerialMatrix cPacked =
-        BitSerialMatrix::pack(c, 1, cache.capacity());
-    engine::PackedOperand cOp = engine::PackedOperand::viewDense(cPacked);
-
     Int32Tensor s32, o32;
-    for (std::int64_t l = 0; l < layers; ++l) {
-        for (std::int64_t h = 0; h < heads; ++h) {
-            cache.scores(l, h, qOp, tokens, s32);
-            ASSERT_EQ(s32.shape().dim(0), 1);
-            ASSERT_EQ(s32.shape().dim(1), tokens);
-            for (std::int64_t t = 0; t < tokens; ++t) {
-                std::int64_t want = 0;
-                const std::int8_t *kRow =
-                    toks.k[static_cast<std::size_t>(t)]
-                          [static_cast<std::size_t>(l)]
-                              .data() +
-                    h * dHead;
-                for (std::int64_t d = 0; d < dHead; ++d)
-                    want += static_cast<std::int64_t>(q[static_cast<
-                                std::size_t>(d)]) *
-                            kRow[d];
-                EXPECT_EQ(s32.at(0, t), want)
-                    << "score l=" << l << " h=" << h << " t=" << t;
-            }
-
-            cache.values(l, h, cOp, o32);
-            ASSERT_EQ(o32.shape().dim(0), 1);
-            ASSERT_EQ(o32.shape().dim(1), dHead);
-            for (std::int64_t d = 0; d < dHead; ++d) {
-                std::int64_t want = 0;
-                for (std::int64_t t = 0; t < tokens; ++t)
-                    want +=
-                        static_cast<std::int64_t>(
-                            c[static_cast<std::size_t>(t)]) *
-                        toks.v[static_cast<std::size_t>(t)]
+    for (std::int64_t tokens : {1, 63, 64, 65, 192}) {
+        // The probability row: T live columns, zero beyond.
+        std::vector<std::int8_t> c(static_cast<std::size_t>(capacity), 0);
+        for (std::int64_t t = 0; t < tokens; ++t)
+            c[static_cast<std::size_t>(t)] =
+                static_cast<std::int8_t>(rng.uniformInt(-127, 127));
+        for (std::int64_t l = 0; l < layers; ++l) {
+            for (std::int64_t h = 0; h < heads; ++h) {
+                cache.scores(l, h, qOp, tokens, s32);
+                ASSERT_EQ(s32.shape().dim(0), 1);
+                ASSERT_EQ(s32.shape().dim(1), tokens);
+                for (std::int64_t t = 0; t < tokens; ++t) {
+                    std::int64_t want = 0;
+                    const std::int8_t *kRow =
+                        toks.k[static_cast<std::size_t>(t)]
                               [static_cast<std::size_t>(l)]
-                                  [static_cast<std::size_t>(h * dHead +
-                                                            d)];
-                EXPECT_EQ(o32.at(0, d), want)
-                    << "value l=" << l << " h=" << h << " d=" << d;
+                                  .data() +
+                        h * dHead;
+                    for (std::int64_t d = 0; d < dHead; ++d)
+                        want += static_cast<std::int64_t>(
+                                    q[static_cast<std::size_t>(d)]) *
+                                kRow[d];
+                    EXPECT_EQ(s32.at(0, t), want)
+                        << "score T=" << tokens << " l=" << l
+                        << " h=" << h << " t=" << t;
+                }
+
+                // Packed at T columns (the decode path) and at the full
+                // capacity (zero columns beyond T): both equal the oracle.
+                for (std::int64_t width : {tokens, capacity}) {
+                    BitSerialMatrix cPacked = BitSerialMatrix::pack(
+                        std::span<const std::int8_t>(
+                            c.data(), static_cast<std::size_t>(width)),
+                        1, width);
+                    cache.values(l, h,
+                                 engine::PackedOperand::viewDense(cPacked),
+                                 o32);
+                    ASSERT_EQ(o32.shape().dim(0), 1);
+                    ASSERT_EQ(o32.shape().dim(1), dHead);
+                    for (std::int64_t d = 0; d < dHead; ++d) {
+                        std::int64_t want = 0;
+                        for (std::int64_t t = 0; t < tokens; ++t)
+                            want += static_cast<std::int64_t>(
+                                        c[static_cast<std::size_t>(t)]) *
+                                    toks.v[static_cast<std::size_t>(t)]
+                                          [static_cast<std::size_t>(l)]
+                                          [static_cast<std::size_t>(
+                                              h * dHead + d)];
+                        EXPECT_EQ(o32.at(0, d), want)
+                            << "value T=" << tokens << " width=" << width
+                            << " l=" << l << " h=" << h << " d=" << d;
+                    }
+                }
             }
         }
     }
+}
+
+// The shape checks that guard the raw group offsets: a query must be
+// dHead wide, a score covers 1..capacity tokens, and a probability row
+// is at most capacity wide. The threadsafe style re-executes the binary
+// for each child instead of forking this multithreaded process.
+TEST(KvCacheDeathTest, ShapeChecks)
+{
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    llm::KvCache cache({1, 1, 32, 64});
+    Rng rng(0xfeed3);
+    appendRandomTokens(cache, 8, rng);
+    Int32Tensor out;
+    BitSerialMatrix q = BitSerialMatrix::pack(randomRow(rng, 32), 1, 32);
+    BitSerialMatrix wide = BitSerialMatrix::pack(randomRow(rng, 33), 1, 33);
+    BitSerialMatrix cTooWide =
+        BitSerialMatrix::pack(randomRow(rng, 65), 1, 65);
+    auto op = [](const BitSerialMatrix &m) {
+        return engine::PackedOperand::viewDense(m);
+    };
+    EXPECT_EXIT(cache.scores(0, 0, op(wide), 8, out),
+                ::testing::ExitedWithCode(1), "query width");
+    EXPECT_EXIT(cache.scores(0, 0, op(q), 0, out),
+                ::testing::ExitedWithCode(1), "score tokens");
+    EXPECT_EXIT(cache.scores(0, 0, op(q), 65, out),
+                ::testing::ExitedWithCode(1), "score tokens");
+    EXPECT_EXIT(cache.values(0, 0, op(cTooWide), out),
+                ::testing::ExitedWithCode(1), "exceeds the cache capacity");
 }
 
 /** Writer appends and commits while a reader consumes the committed
  *  prefix per the documented contract. TSAN is the real assertion. */
 TEST(KvCache, AppendUnderConcurrentRead)
 {
-    engine::Session session;
     const std::int64_t layers = 1, heads = 2, dHead = 32, capacity = 256;
-    llm::KvCache cache(session, {layers, heads, dHead, capacity});
+    llm::KvCache cache({layers, heads, dHead, capacity});
     std::atomic<bool> stop{false};
     std::atomic<std::uint64_t> sink{0};
 
@@ -225,18 +295,16 @@ TEST(KvCache, AppendUnderConcurrentRead)
             std::int64_t len = cache.length(); // acquire
             std::uint64_t acc = 0;
             for (std::int64_t h = 0; h < heads; ++h) {
-                const BitSerialMatrix &k = cache.kView(0, h);
                 for (std::int64_t t = 0; t < len; ++t)
-                    acc ^= k.rowPlane(0, t)[0];
+                    for (int b = 0; b < kWeightBits; ++b)
+                        acc ^= cache.kGroup(0, h, t)[b];
                 // V: words strictly below len/64 only — the in-fill
                 // word is writer-private until it holds 64 tokens.
-                const BitSerialMatrix &v = cache.vView(0, h);
                 std::int64_t words = len >> 6;
-                for (std::int64_t d = 0; d < dHead; ++d) {
-                    const std::uint64_t *plane = v.rowPlane(0, d);
+                for (std::int64_t d = 0; d < dHead; ++d)
                     for (std::int64_t w = 0; w < words; ++w)
-                        acc ^= plane[w];
-                }
+                        for (int b = 0; b < kWeightBits; ++b)
+                            acc ^= cache.vGroup(0, h, d, w)[b];
             }
             sink.fetch_add(acc ^ 1, std::memory_order_relaxed);
         }
