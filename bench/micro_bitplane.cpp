@@ -6,7 +6,8 @@
  * forms on the same data, the results are checked for exact equality, and
  * a speedup table is printed. The packed path is the one the library
  * actually runs; the scalar path is the preserved per-element reference
- * (bbsSparsityScalar / dotBitSerialBbsScalar / dotCompressedScalar).
+ * (bbsSparsityScalar, and the DotMethod::BbsScalar / scalarReference
+ * forms of engine::dot / engine::dotCompressed).
  *
  * A second table compares the SIMD dispatch levels on the word-scan
  * kernels (src/simd/) the packed paths bottom out in: every kernel the
@@ -25,9 +26,9 @@
 #include "common/random.hpp"
 #include "common/table.hpp"
 #include "core/bbs.hpp"
-#include "core/bbs_dot.hpp"
 #include "core/bitplane.hpp"
 #include "core/compressed_tensor.hpp"
+#include "engine/session.hpp"
 #include "simd/simd.hpp"
 
 namespace {
@@ -117,8 +118,10 @@ main(int argc, char **argv)
             for (std::int64_t g = 0; g < codes.numGroups(gs); ++g) {
                 auto w = codes.group(g, gs);
                 auto a = acts.group(g, gs);
-                acc += packed ? dotBitSerialBbs(w, a).value
-                              : dotBitSerialBbsScalar(w, a).value;
+                acc += engine::dot(w, a,
+                                   packed ? engine::DotMethod::Bbs
+                                          : engine::DotMethod::BbsScalar)
+                           .value;
             }
             return acc;
         };
@@ -142,8 +145,7 @@ main(int argc, char **argv)
                  g < static_cast<std::int64_t>(ct.groups().size()); ++g) {
                 const CompressedGroup &cg = ct.group(g);
                 auto a = acts.group(g, 32);
-                acc += packed ? dotCompressed(cg, a).value
-                              : dotCompressedScalar(cg, a).value;
+                acc += engine::dotCompressed(cg, a, !packed).value;
             }
             return acc;
         };

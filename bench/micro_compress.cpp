@@ -6,9 +6,9 @@
  */
 #include <benchmark/benchmark.h>
 
-#include "core/bbs_dot.hpp"
 #include "core/compressed_tensor.hpp"
 #include "common/random.hpp"
+#include "engine/session.hpp"
 #include "quant/quantizer.hpp"
 #include "tensor/distribution.hpp"
 
@@ -64,7 +64,8 @@ BM_DotReference(benchmark::State &state)
     for (auto &x : a)
         x = static_cast<std::int8_t>(rng.uniformInt(-128, 127));
     for (auto _ : state)
-        benchmark::DoNotOptimize(dotReference(w, a));
+        benchmark::DoNotOptimize(
+            engine::dot(w, a, engine::DotMethod::Reference));
 }
 BENCHMARK(BM_DotReference);
 
@@ -78,7 +79,7 @@ BM_DotBitSerialBbs(benchmark::State &state)
     for (auto &x : a)
         x = static_cast<std::int8_t>(rng.uniformInt(-128, 127));
     for (auto _ : state)
-        benchmark::DoNotOptimize(dotBitSerialBbs(w, a));
+        benchmark::DoNotOptimize(engine::dot(w, a));
 }
 BENCHMARK(BM_DotBitSerialBbs);
 
@@ -94,7 +95,7 @@ BM_DotCompressed(benchmark::State &state)
     CompressedGroup cg =
         compressGroup(w, 4, PruneStrategy::ZeroPointShifting);
     for (auto _ : state)
-        benchmark::DoNotOptimize(dotCompressed(cg, a));
+        benchmark::DoNotOptimize(engine::dotCompressed(cg, a));
 }
 BENCHMARK(BM_DotCompressed);
 

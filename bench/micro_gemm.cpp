@@ -6,10 +6,12 @@
  * 32, 4 pruned columns) is executed over batches of {1, 16, 64, 256}
  * samples two ways:
  *
- *  - per-dot: the pre-PR2 inference inner loop — one dotCompressed() per
- *    (sample, output channel), repacking each group's planes per call;
- *  - GEMM: BitSerialMatrix::pack once per batch + gemmCompressed()
- *    (packing time included — this is the end-to-end serving cost).
+ *  - per-dot: the pre-GEMM inference inner loop — one
+ *    engine::dotCompressed() per (sample, output channel), repacking each
+ *    group's planes per call;
+ *  - GEMM: BitSerialMatrix::pack once per batch +
+ *    engine::matmulCompressed() (packing time included — this is the
+ *    end-to-end serving cost).
  *
  * Outputs are checked for exact equality, a throughput table is printed,
  * and the run fails unless the GEMM engine is >= 4x faster at every
@@ -21,7 +23,7 @@
  * same plan at batches {1, 8, 64, 256} through both: outputs must be
  * bit-identical and the tuned geomean must be >= 1.0x the heuristic
  * (measured decisions are never allowed to lose to the hand-rolled
- * crossovers — the CI autotune-job gate).
+ * selection rules — the CI autotune-job gate).
  *
  * A third section compares the SIMD dispatch levels on the GEMM-side
  * kernels (src/simd/): the 2x1x2 AND+popcount tile, the plain
@@ -42,7 +44,6 @@
 #include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "common/table.hpp"
-#include "core/bbs_dot.hpp"
 #include "engine/engine.hpp"
 #include "gemm/compressed_gemm.hpp"
 #include "gemm/gemm.hpp"
@@ -114,7 +115,7 @@ main(int argc, char **argv)
                             o * groupsPerRow + g)];
                     std::span<const std::int8_t> a(&acts.at(row, begin),
                                                    cg.stored.size());
-                    acc += dotCompressed(cg, a).value;
+                    acc += engine::dotCompressed(cg, a).value;
                     begin += static_cast<std::int64_t>(cg.stored.size());
                 }
                 out.at(row, o) = static_cast<std::int32_t>(acc);
@@ -136,8 +137,8 @@ main(int argc, char **argv)
         Int32Tensor gemmOut;
         double gemmS = secondsOf(
             [&] {
-                gemmOut =
-                    gemmCompressed(planes, BitSerialMatrix::pack(acts));
+                gemmOut = engine::matmulCompressed(
+                    planes, BitSerialMatrix::pack(acts));
             },
             5);
 
@@ -169,7 +170,8 @@ main(int argc, char **argv)
         Int32Tensor bsOut, refOut;
         double bsS = secondsOf(
             [&] {
-                bsOut = gemmBitSerial(BitSerialMatrix::pack(acts), wp);
+                bsOut = engine::matmulBitSerial(
+                    BitSerialMatrix::pack(acts), wp);
             },
             5);
         double refS = secondsOf(
@@ -177,7 +179,7 @@ main(int argc, char **argv)
         for (std::int64_t i = 0; i < refOut.numel(); ++i)
             if (bsOut.flat(i) != refOut.flat(i))
                 BBS_PANIC("dense bit-serial GEMM mismatch at i=", i);
-        std::cout << "\ndense gemmBitSerial vs naive reference at batch "
+        std::cout << "\ndense matmulBitSerial vs naive reference at batch "
                   << batch << ": " << bench::times(refS / bsS) << "\n";
     }
 
@@ -430,21 +432,24 @@ main(int argc, char **argv)
             Int32Tensor denseActive, denseScalar;
             Int32Tensor compActive, compScalar;
             double denseActiveS = secondsOf(
-                [&] { denseActive = gemmBitSerial(ap, wp); }, 5);
+                [&] { denseActive = engine::matmulBitSerial(ap, wp); }, 5);
             double compActiveS = secondsOf(
-                [&] { compActive = gemmCompressed(planes, ap); }, 5);
+                [&] { compActive = engine::matmulCompressed(planes, ap); },
+                5);
             setSimdLevel(SimdLevel::Scalar);
             double denseScalarS = secondsOf(
-                [&] { denseScalar = gemmBitSerial(ap, wp); }, 5);
+                [&] { denseScalar = engine::matmulBitSerial(ap, wp); }, 5);
             double compScalarS = secondsOf(
-                [&] { compScalar = gemmCompressed(planes, ap); }, 5);
+                [&] { compScalar = engine::matmulCompressed(planes, ap); },
+                5);
             setSimdLevel(active.level);
             for (std::int64_t i = 0; i < denseActive.numel(); ++i)
                 if (denseActive.flat(i) != denseScalar.flat(i))
-                    BBS_PANIC("gemmBitSerial dispatch mismatch at i=", i);
+                    BBS_PANIC("matmulBitSerial dispatch mismatch at i=", i);
             for (std::int64_t i = 0; i < compActive.numel(); ++i)
                 if (compActive.flat(i) != compScalar.flat(i))
-                    BBS_PANIC("gemmCompressed dispatch mismatch at i=", i);
+                    BBS_PANIC("matmulCompressed dispatch mismatch at i=",
+                              i);
             const double macs = static_cast<double>(batch) *
                                 static_cast<double>(k) *
                                 static_cast<double>(c);

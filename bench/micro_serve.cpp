@@ -8,14 +8,15 @@
  * clients) two ways:
  *
  *  - per-request: each client executes its own sample directly through
- *    Int8Network::forwardPerDot() — the pre-serving deployment shape,
- *    one compressed-dot pass per request, request-level parallelism
- *    only (the worker cap is pinned to 1 during this phase so a naive
- *    per-request server's intra-op behaviour is modeled, not an
- *    oversubscribed thread explosion);
+ *    Int8Network::forward() with per-batch calibration and the per-dot
+ *    plan kind — the pre-serving deployment shape, one compressed-dot
+ *    pass per request, request-level parallelism only (the worker cap
+ *    is pinned to 1 during this phase so a naive per-request server's
+ *    intra-op behaviour is modeled, not an oversubscribed thread
+ *    explosion);
  *  - batched runtime: clients submit to the InferenceServer, whose
  *    batcher coalesces up to maxBatch requests into one
- *    BitSerialMatrix pack + gemmCompressed call (full intra-GEMM
+ *    BitSerialMatrix pack + compressed GEMM (full intra-GEMM
  *    parallelism).
  *
  * Every server response is checked bit-identical to the per-request
@@ -87,7 +88,7 @@ main(int argc, char **argv)
     bench::printHeader(
         "micro_serve",
         "the micro-batching serving runtime reaches >= 3x the "
-        "per-request forwardPerDot throughput at >= 64 concurrent "
+        "per-request per-dot forward throughput at >= 64 concurrent "
         "clients, and >= 0.9x at a single client");
 
     Rng wrng(0xbeef);
@@ -107,7 +108,8 @@ main(int argc, char **argv)
         Batch x(Shape{1, kInputDim});
         for (std::int64_t c = 0; c < kInputDim; ++c)
             x.at(0, c) = pool[i][static_cast<std::size_t>(c)];
-        Batch y = engine->forwardPerDot(x);
+        Batch y = engine->forward(x, {engine::Calibration::PerBatch,
+                                      engine::PlanKind::PerDot});
         oracle[i].resize(static_cast<std::size_t>(kClasses));
         for (std::int64_t c = 0; c < kClasses; ++c)
             oracle[i][static_cast<std::size_t>(c)] = y.at(0, c);
@@ -130,8 +132,8 @@ main(int argc, char **argv)
         const std::int64_t total =
             perClient * static_cast<std::int64_t>(clients);
 
-        // ---- per-request baseline: forwardPerDot per sample, request-
-        // level concurrency only.
+        // ---- per-request baseline: a per-dot forward per sample,
+        // request-level concurrency only.
         setWorkerThreadCap(1);
         double baseS = wallSecondsOf([&] {
             std::vector<std::thread> threads;
@@ -146,7 +148,9 @@ main(int argc, char **argv)
                         for (std::int64_t c = 0; c < kInputDim; ++c)
                             x.at(0, c) =
                                 pool[idx][static_cast<std::size_t>(c)];
-                        Batch y = engine->forwardPerDot(x);
+                        Batch y = engine->forward(
+                            x, {engine::Calibration::PerBatch,
+                                engine::PlanKind::PerDot});
                         if (y.at(0, 0) != oracle[idx][0])
                             BBS_PANIC("baseline mismatch");
                     }

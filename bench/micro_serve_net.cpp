@@ -11,7 +11,7 @@
  *  - every request is ANSWERED over the wire (zero accepted-then-
  *    dropped: ok + overloaded == issued, nothing expires, no transport
  *    error), and every Ok response is bit-identical to the per-sample
- *    forwardPerDot oracle;
+ *    per-dot forward oracle;
  *  - client-observed p99 stays bounded (a loose absolute lid — the
  *    real assertion is that the tail exists at all under 256
  *    connections, not a sharp latency SLO on shared CI hardware).
@@ -90,7 +90,8 @@ oracleOf(const Int8Network &engine,
         Batch x(Shape{1, kInputDim});
         for (std::int64_t c = 0; c < kInputDim; ++c)
             x.at(0, c) = pool[i][static_cast<std::size_t>(c)];
-        Batch y = engine.forwardPerDot(x);
+        Batch y = engine.forward(x, {engine::Calibration::PerBatch,
+                                     engine::PlanKind::PerDot});
         oracle[i].resize(static_cast<std::size_t>(kClasses));
         for (std::int64_t c = 0; c < kClasses; ++c)
             oracle[i][static_cast<std::size_t>(c)] = y.at(0, c);

@@ -131,7 +131,7 @@ struct HostedModel
 {
     std::string name;
     std::vector<std::vector<float>> pool;   ///< input samples
-    std::vector<std::vector<float>> oracle; ///< forwardPerDot logits
+    std::vector<std::vector<float>> oracle; ///< per-dot forward logits
 };
 
 // ----------------------------------------------------------- scrape utils
@@ -410,7 +410,9 @@ main(int argc, char **argv)
                 Batch x(Shape{1, spec.input});
                 for (std::int64_t c = 0; c < spec.input; ++c)
                     x.at(0, c) = hm.pool[s][static_cast<std::size_t>(c)];
-                Batch y = engine->forwardPerDot(x);
+                Batch y = engine->forward(
+                    x, {engine::Calibration::PerBatch,
+                        engine::PlanKind::PerDot});
                 hm.oracle[s].resize(static_cast<std::size_t>(spec.classes));
                 for (std::int64_t c = 0; c < spec.classes; ++c)
                     hm.oracle[s][static_cast<std::size_t>(c)] = y.at(0, c);

@@ -256,12 +256,12 @@ cmdEngineInfo(const std::map<std::string, std::string> &flags)
     Table plan({"operand", "batch", "plan kind"});
     for (std::int64_t b : {std::int64_t{1}, std::int64_t{2}, batch}) {
         plan.addRow({"dense", std::to_string(b),
-                     planKindName(engine::MatmulPlan::selectKind(
-                         rows, cols, b, false, 8.0))});
+                     planKindName(
+                         engine::MatmulPlan::selectKind(b, false, 8.0))});
         plan.addRow({format("compressed (%d cols pruned)", columns),
                      std::to_string(b),
                      planKindName(engine::MatmulPlan::selectKind(
-                         rows, cols, b, true, storedBits))});
+                         b, true, storedBits))});
     }
     plan.print(std::cout);
     std::cout << "shape: weights [" << rows << ", " << cols
@@ -359,10 +359,6 @@ cmdServeStats(const std::map<std::string, std::string> &flags)
     t.addRow({"mean batch rows", format("%.2f", s.meanBatchRows)});
     t.addRow({"p50 latency", format("%.2f ms", s.p50Us / 1e3)});
     t.addRow({"p99 latency", format("%.2f ms", s.p99Us / 1e3)});
-    t.addRow({"latency window",
-              format("%llu samples (%llu dropped)",
-                     static_cast<unsigned long long>(s.latencyWindow),
-                     static_cast<unsigned long long>(s.latencyDropped))});
     t.addRow({"throughput", format("%.0f req/s", s.throughputRps)});
     t.print(std::cout);
 

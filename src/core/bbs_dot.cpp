@@ -2,8 +2,7 @@
  * @file
  * Kernel implementations of the bit-serial dot forms declared in
  * core/dot_kernels.hpp. The engine facade (engine/session.cpp) is the
- * public route into these; the legacy free functions in bbs_dot.hpp are
- * compatibility wrappers over it.
+ * public route into these.
  */
 #include "core/dot_kernels.hpp"
 

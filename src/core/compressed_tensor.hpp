@@ -2,7 +2,8 @@
  * @file
  * Whole-tensor BBS compression: contiguous groups of weights are compressed
  * with binary pruning and the BBS encoding; the compressed form can be
- * decompressed, sized, and executed against directly (see bbs_dot.hpp).
+ * decompressed, sized, and executed against directly (see
+ * core/dot_kernels.hpp).
  */
 #ifndef BBS_CORE_COMPRESSED_TENSOR_HPP
 #define BBS_CORE_COMPRESSED_TENSOR_HPP

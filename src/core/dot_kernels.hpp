@@ -8,8 +8,7 @@
  * bi-directional skipping, and the compressed-domain form the BitVert PE
  * computes — each with a per-element scalar twin the packed path is pinned
  * bit-identical to. User code targets `engine::Session::dot()` /
- * `engine::dot()` (or, compatibility-gated, the legacy free functions in
- * core/bbs_dot.hpp); internal callers and the facade itself bind these
+ * `engine::dot()`; internal callers and the facade itself bind these
  * `detail` kernels directly.
  */
 #ifndef BBS_CORE_DOT_KERNELS_HPP

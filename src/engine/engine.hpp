@@ -26,9 +26,7 @@
  *    Sessions load at creation (BBS_TUNE_CACHE).
  *
  * Backends (sharding, caching, new accelerators) mount behind plans;
- * callers target this header. The pre-engine free functions (dot*,
- * gemm*, Int8Network::forward* variants) remain as compatibility
- * wrappers delegating to the default Session — see common/compat.hpp.
+ * callers target this header.
  */
 #ifndef BBS_ENGINE_ENGINE_HPP
 #define BBS_ENGINE_ENGINE_HPP

@@ -57,11 +57,11 @@ struct EngineConfig
     std::int64_t scratchReserveRows = 0;
 
     /**
-     * Kernel/selection tuning parameters plans created through this
-     * config execute with (GEMM depth blocking, register tile,
-     * selectKind crossovers). Defaults derive the depth block from the
-     * detected cache topology; the autotuner's measured winners override
-     * per shape class via the tuning cache.
+     * Kernel tuning parameters plans created through this config
+     * execute with (GEMM depth blocking, register tiles). Defaults
+     * derive the depth block from the detected cache topology; the
+     * autotuner's measured winners override per shape class via the
+     * tuning cache.
      */
     TuningParams tuning;
 

@@ -80,9 +80,9 @@ class PackedOperand
     fromPrepared(std::shared_ptr<const CompressedRowPlanes> planes);
 
     /**
-     * Non-owning views over caller-kept packings — the compatibility
-     * wrappers' bridge. The caller must keep the viewed object alive for
-     * the operand's lifetime.
+     * Non-owning views over caller-kept packings (the engine::matmul*
+     * conveniences and prepacked activations). The caller must keep the
+     * viewed object alive for the operand's lifetime.
      */
     static PackedOperand viewDense(const BitSerialMatrix &m);
     static PackedOperand viewCompressed(const CompressedRowPlanes &p);

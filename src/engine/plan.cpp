@@ -3,6 +3,7 @@
 #include <chrono>
 #include <optional>
 
+#include "common/bit_utils.hpp"
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
@@ -100,9 +101,9 @@ struct RunTimer
 #endif // BBS_OBS
 
 /**
- * The per-dot execution: the exact loop nest Int8Network::forwardPerDot
- * ran (weight channels outer and parallel, samples inner, groups in
- * ascending order), so plans resolve it bit-identically.
+ * The per-dot execution: the pre-GEMM inference loop nest (weight
+ * channels outer and parallel, samples inner, groups in ascending
+ * order), so plans resolve it bit-identically.
  */
 void
 runPerDot(const CompressedRowPlanes &w, const Int8Tensor &x,
@@ -143,33 +144,16 @@ planKindName(PlanKind k)
 }
 
 PlanKind
-MatmulPlan::selectKind(std::int64_t weightRows, std::int64_t depth,
-                       std::int64_t batch, bool compressedWeights,
-                       double meanStoredBits, const TuningParams &tuning)
+MatmulPlan::selectKind(std::int64_t batch, bool compressedWeights,
+                       double meanStoredBits)
 {
     if (!compressedWeights)
         return PlanKind::TiledBitSerial;
-    if (batch <= tuning.perDotMaxBatch)
+    if (batch <= 1)
         return PlanKind::PerDot;
-    // Tiny matrices: the batched kernels stage activation windows (and
-    // the tiled kernel packs the whole batch) before any arithmetic —
-    // with almost no weight rows or depth to amortize that over, the
-    // plain dot loop wins past batch 1 too.
-    if (batch <= tuning.tinyBatchMax &&
-        (weightRows <= tuning.tinyRows || depth <= tuning.tinyDepth))
-        return PlanKind::PerDot;
-    if (meanStoredBits >= tuning.denseStoredBits - 1e-9)
+    if (meanStoredBits >= kWeightBits - 1e-9)
         return PlanKind::TiledBitSerial;
     return PlanKind::CompressedBatched;
-}
-
-PlanKind
-MatmulPlan::selectKind(std::int64_t weightRows, std::int64_t depth,
-                       std::int64_t batch, bool compressedWeights,
-                       double meanStoredBits)
-{
-    return selectKind(weightRows, depth, batch, compressedWeights,
-                      meanStoredBits, TuningParams{});
 }
 
 MatmulPlan::Resolved
@@ -216,9 +200,8 @@ MatmulPlan::resolveForBatch(std::int64_t batch, bool countTune) const
             return r;
         }
     }
-    r.kind = selectKind(weights_.rows(), weights_.cols(), batch,
-                        weights_.compressed(), weights_.meanStoredBits(),
-                        config_.tuning);
+    r.kind = selectKind(batch, weights_.compressed(),
+                        weights_.meanStoredBits());
     return r;
 }
 

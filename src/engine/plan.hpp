@@ -17,10 +17,12 @@
  *  - **CompressedBatched**: the batched compressed-domain GEMM (stage-1
  *    window staging shared by every weight row).
  *
- * Selection reads the batch size and the operand's stored-bit sparsity;
- * `PlanOptions::force` is the explicit-override escape hatch. All three
- * kinds are bit-identical on the same operands (the test suite pins
- * this), so the choice is purely a performance decision.
+ * Selection reads the batch size and the operand's stored-bit sparsity
+ * through fixed rules (selectKind), unless a loaded tuning cache holds a
+ * measured winner for the shape class; `PlanOptions::force` is the
+ * explicit-override escape hatch. All three kinds are bit-identical on
+ * the same operands (the test suite pins this), so the choice is purely
+ * a performance decision.
  */
 #ifndef BBS_ENGINE_PLAN_HPP
 #define BBS_ENGINE_PLAN_HPP
@@ -95,26 +97,14 @@ class MatmulPlan
     PlanKind kindForBatch(std::int64_t batch) const;
 
     /**
-     * The pure selection heuristic (also what `bbs_cli engine-info`
-     * prints): dense operands always take the tiled kernel; compressed
-     * operands take per-dot up to TuningParams::perDotMaxBatch rows
-     * (nothing amortizes the activation pack) — and beyond that for
-     * *tiny* matrices (weightRows <= tinyRows or depth <= tinyDepth at
-     * batch <= tinyBatchMax), where the batched kernels' staging
-     * overhead exceeds the whole dot-loop cost; the tiled kernel when
-     * compression removed no columns (meanStoredBits >= denseStoredBits),
-     * and the compressed-batched kernel otherwise. All crossovers come
-     * from @p tuning, so the autotuner's measured winners and the hand
-     * heuristic share one code path.
+     * The selection heuristic a plan falls back to without a tuning-cache
+     * hit (also what `bbs_cli engine-info` prints): dense operands
+     * always take the tiled kernel; compressed operands take per-dot at
+     * batch <= 1 (nothing amortizes the activation pack), the tiled
+     * kernel when compression removed no columns (meanStoredBits >=
+     * kWeightBits), and the compressed-batched kernel otherwise.
      */
-    static PlanKind selectKind(std::int64_t weightRows, std::int64_t depth,
-                               std::int64_t batch, bool compressedWeights,
-                               double meanStoredBits,
-                               const TuningParams &tuning);
-
-    /** Default-crossover form (CLI / tests / quick calls). */
-    static PlanKind selectKind(std::int64_t weightRows, std::int64_t depth,
-                               std::int64_t batch, bool compressedWeights,
+    static PlanKind selectKind(std::int64_t batch, bool compressedWeights,
                                double meanStoredBits);
 
     /**

@@ -1,14 +1,14 @@
 /**
  * @file
- * Session implementation, plus the engine free functions
- * (engine/forwarding.hpp) the compatibility wrappers delegate to — every
- * legacy entry point funnels through the plans defined here.
+ * Session implementation, plus the engine free functions over the
+ * default Session — each funnels through the plans defined here.
  */
 #include "engine/session.hpp"
 
 #include <sstream>
 
 #include "common/aligned.hpp"
+#include "common/bit_utils.hpp"
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "engine/autotune.hpp"
@@ -82,8 +82,7 @@ Session::plan(PackedOperand weights, ShapeHints hints,
         bool tiled =
             opts.force == PlanKind::TiledBitSerial ||
             (opts.force == PlanKind::Auto &&
-             (p.weights_.meanStoredBits() >=
-                  config_.tuning.denseStoredBits - 1e-9 ||
+             (p.weights_.meanStoredBits() >= kWeightBits - 1e-9 ||
               (tuneCache_ != nullptr &&
                tuneCache_->hasKind(PlanKind::TiledBitSerial))));
         if (tiled) {
@@ -204,20 +203,12 @@ Int32Tensor
 matmulCompressed(const CompressedRowPlanes &weights,
                  const BitSerialMatrix &activations)
 {
-    Int32Tensor out;
-    matmulCompressedInto(weights, activations, out);
-    return out;
-}
-
-void
-matmulCompressedInto(const CompressedRowPlanes &weights,
-                     const BitSerialMatrix &activations, Int32Tensor &out)
-{
     MatmulPlan plan = defaultSession().plan(
         PackedOperand::viewCompressed(weights), {},
         {PlanKind::CompressedBatched});
+    Int32Tensor out;
     plan.run(PackedOperand::viewDense(activations), out);
-    return;
+    return out;
 }
 
 } // namespace bbs::engine

@@ -16,7 +16,8 @@
  * Session's config scoped onto the runtime — replacing the scattered
  * BBS_THREADS/BBS_SIMD env reads and global setters as the way to steer
  * an individual workload. `defaultSession()` (inherit-everything config)
- * is what the legacy compatibility wrappers delegate to.
+ * is what the engine free functions at the bottom of this header
+ * delegate to.
  *
  * Sessions are immutable after construction and safe to share across
  * threads. Two sessions with *different* explicit configs racing on
@@ -34,13 +35,22 @@
 
 #include "core/dot_kernels.hpp"
 #include "engine/engine_config.hpp"
-#include "engine/forwarding.hpp"
 #include "engine/packed_operand.hpp"
 #include "engine/plan.hpp"
 
 namespace bbs::engine {
 
 class TuningCache;
+
+/** Which executable form of the bit-serial dot product to run. */
+enum class DotMethod
+{
+    Reference,      ///< dense per-element reference (Eq. 1)
+    ZeroSkip,       ///< zero-bit skipping over packed planes (Eq. 2)
+    ZeroSkipScalar, ///< per-element loop form of ZeroSkip (test pin)
+    Bbs,            ///< bi-directional skipping over packed planes (Eq. 2/3)
+    BbsScalar,      ///< per-element loop form of Bbs (test pin)
+};
 
 class Session
 {
@@ -111,10 +121,39 @@ class Session
 
 /**
  * The process-wide default Session (inherit-everything config) — the
- * one the legacy compatibility wrappers and the engine free functions
- * delegate to.
+ * one the engine free functions below delegate to.
  */
 Session &defaultSession();
+
+/**
+ * One dot product through the default Session. effectualOps and
+ * invertedColumns are meaningful for the Bbs forms only (zero otherwise).
+ */
+BbsDotResult dot(std::span<const std::int8_t> weights,
+                 std::span<const std::int8_t> activations,
+                 DotMethod method = DotMethod::Bbs);
+
+/**
+ * Compressed-domain dot against one BBS group through the default
+ * Session; @p scalarReference selects the per-element pin form.
+ */
+BbsDotResult dotCompressed(const CompressedGroup &cg,
+                           std::span<const std::int8_t> activations,
+                           bool scalarReference = false);
+
+/**
+ * Dense bit-serial GEMM (activations [N, C] x weights [K, C] -> [N, K])
+ * through a default-Session plan forced to the tiled bit-serial kind.
+ */
+Int32Tensor matmulBitSerial(const BitSerialMatrix &activations,
+                            const BitSerialMatrix &weights);
+
+/**
+ * Compressed-domain GEMM through a default-Session plan forced to the
+ * compressed-batched kind (bit-exact against the per-dot path).
+ */
+Int32Tensor matmulCompressed(const CompressedRowPlanes &weights,
+                             const BitSerialMatrix &activations);
 
 /**
  * One-line summary of the engine runtime an example or service banner

@@ -1,10 +1,10 @@
 /**
  * @file
- * TuningParams — the kernel/selection constants that used to be baked
- * into the source, promoted to a value type the engine carries around
+ * TuningParams — the kernel constants that used to be baked into the
+ * source, promoted to a value type the engine carries around
  * (EngineConfig::tuning) and the autotuner sweeps.
  *
- * Three families of knobs:
+ * Two families of knobs:
  *
  *  - **GEMM cache blocking** (`depthBlockWords`): how many 64-column
  *    plane words the dense tiled kernel streams per cache block. 0 means
@@ -16,9 +16,8 @@
  *    andPopcountTile micro-kernel (four AND+popcount streams sharing
  *    four plane loads); 1x1 runs the plain andPopcountAccumulate stream.
  *    2x2 wins everywhere measured so far, but the choice is now a
- *    sweepable parameter instead of an article of faith.
- *  - **selectKind crossovers**: the batch / stored-bits / tiny-shape
- *    thresholds MatmulPlan::selectKind keys on.
+ *    sweepable parameter instead of an article of faith. The compressed
+ *    kernel's stage-2 row tile (`compressedRowTile`) is swept alongside.
  *
  * All parameter combinations are bit-identical by construction (they
  * change traversal order and kernel shape, never arithmetic), so tuning
@@ -46,23 +45,6 @@ struct TuningParams
      *  same tile share every activation-window load. Formerly the
      *  hard-coded row-pair constant; the autotuner sweeps it now. */
     int compressedRowTile = 2;
-
-    /** selectKind: batches up to this size take the per-dot loop for
-     *  compressed weights (nothing amortizes the activation pack). */
-    std::int64_t perDotMaxBatch = 1;
-    /** selectKind: compressed operands storing at least this many mean
-     *  bits take the dense tiled kernel (compression was a no-op). */
-    double denseStoredBits = 8.0;
-    /** selectKind: weight matrices with at most this many rows are
-     *  "tiny" — the batched GEMM's stage-1 staging cannot amortize over
-     *  enough output channels, so moderate batches stay per-dot. */
-    std::int64_t tinyRows = 2;
-    /** selectKind: depths at most this many columns are "tiny" (half a
-     *  packed word) — same per-dot preference as tinyRows. */
-    std::int64_t tinyDepth = 32;
-    /** selectKind: largest batch the tiny-shape rules may steer to
-     *  per-dot; beyond it batching wins regardless of shape. */
-    std::int64_t tinyBatchMax = 8;
 
     /** depthBlockWords with 0 resolved against the detected cache
      *  topology; always a power of two in [128, 4096]. */

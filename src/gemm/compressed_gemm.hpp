@@ -6,9 +6,9 @@
  * `CompressedRowPlanes` prepares a matrix of BBS-compressed weight rows
  * once — every group's surviving bit columns as packed planes
  * (core/bitplane.hpp PackedGroup) stored row-contiguously together with
- * its pruned-column shift and BBS constant. `gemmCompressed` then computes
- * activations [N, C] x weights [K, C] -> [N, K] exactly as the BitVert PE
- * would, but batched:
+ * its pruned-column shift and BBS constant. `gemmCompressedKernel` then
+ * computes activations [N, C] x weights [K, C] -> [N, K] exactly as the
+ * BitVert PE would, but batched:
  *
  *  - the activation batch is packed once (`BitSerialMatrix`), and each
  *    group's column window plus sum-of-activations is extracted once per
@@ -24,10 +24,9 @@
  * matches the compressed-domain dot kernel's value bit-for-bit; the test
  * suite pins it against the dense reference on the decompressed weights.
  *
- * `gemmCompressed` / `gemmCompressedInto` are COMPATIBILITY WRAPPERS now:
- * the canonical route is an engine::MatmulPlan (engine/engine.hpp) whose
- * kind resolves to CompressedBatched, or the engine::matmulCompressed*
- * conveniences. The kernel itself is detail::gemmCompressedKernel.
+ * Callers reach the kernel through an engine::MatmulPlan
+ * (engine/engine.hpp) whose kind resolves to CompressedBatched, or the
+ * engine::matmulCompressed convenience.
  */
 #ifndef BBS_GEMM_COMPRESSED_GEMM_HPP
 #define BBS_GEMM_COMPRESSED_GEMM_HPP
@@ -36,10 +35,8 @@
 #include <span>
 #include <vector>
 
-#include "common/compat.hpp"
 #include "core/bitplane.hpp"
 #include "core/compressed_tensor.hpp"
-#include "engine/forwarding.hpp"
 #include "engine/tuning.hpp"
 #include "engine/scratch.hpp"
 #include "gemm/bit_serial_matrix.hpp"
@@ -229,27 +226,6 @@ void gemmCompressedKernel(const CompressedRowPlanes &weights,
                           const engine::TuningParams &tuning = {});
 
 } // namespace detail
-
-#if BBS_LEGACY_WRAPPERS
-
-/** @deprecated Compatibility wrapper over engine::matmulCompressed()
- *  (a default-Session plan forced to the CompressedBatched kind). */
-inline Int32Tensor
-gemmCompressed(const CompressedRowPlanes &weights,
-               const BitSerialMatrix &activations)
-{
-    return engine::matmulCompressed(weights, activations);
-}
-
-/** @deprecated Compatibility wrapper over engine::matmulCompressedInto(). */
-inline void
-gemmCompressedInto(const CompressedRowPlanes &weights,
-                   const BitSerialMatrix &activations, Int32Tensor &out)
-{
-    engine::matmulCompressedInto(weights, activations, out);
-}
-
-#endif // BBS_LEGACY_WRAPPERS
 
 } // namespace bbs
 

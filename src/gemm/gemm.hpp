@@ -19,16 +19,13 @@
  * references stay real functions on purpose: they are the oracles the
  * engine facade is pinned against, so they must not route through it.
  *
- * `gemmBitSerial` is a COMPATIBILITY WRAPPER now: the canonical route is
- * an engine::MatmulPlan (engine/engine.hpp) whose kind resolves to
- * TiledBitSerial, or the engine::matmulBitSerial convenience. The kernel
- * itself is detail::gemmBitSerialKernel.
+ * The kernel itself is detail::gemmBitSerialKernel; callers reach it
+ * through an engine::MatmulPlan (engine/engine.hpp) whose kind resolves
+ * to TiledBitSerial, or the engine::matmulBitSerial convenience.
  */
 #ifndef BBS_GEMM_GEMM_HPP
 #define BBS_GEMM_GEMM_HPP
 
-#include "common/compat.hpp"
-#include "engine/forwarding.hpp"
 #include "engine/tuning.hpp"
 #include "gemm/bit_serial_matrix.hpp"
 #include "tensor/tensor.hpp"
@@ -91,19 +88,6 @@ void gemmBitSerialKernel(const BitSerialMatrix &activations,
                          const engine::TuningParams &tuning = {});
 
 } // namespace detail
-
-#if BBS_LEGACY_WRAPPERS
-
-/** @deprecated Compatibility wrapper over engine::matmulBitSerial()
- *  (a default-Session plan forced to the TiledBitSerial kind). */
-inline Int32Tensor
-gemmBitSerial(const BitSerialMatrix &activations,
-              const BitSerialMatrix &weights)
-{
-    return engine::matmulBitSerial(activations, weights);
-}
-
-#endif // BBS_LEGACY_WRAPPERS
 
 } // namespace bbs
 

@@ -14,9 +14,7 @@
  * `forward(x, InferencePolicy)` is the single entry point: the
  * calibration axis (per-batch vs per-row activation scales) times the
  * execution axis (the plan's kind — Auto lets it pick per-dot at batch 1
- * and the batched compressed GEMM otherwise). The pre-engine
- * forwardPerDot()/forwardRowCalibrated() variants are compatibility
- * wrappers over specific policies, pinned bit-identical by the tests.
+ * and the batched compressed GEMM otherwise).
  */
 #ifndef BBS_NN_INT8_INFER_HPP
 #define BBS_NN_INT8_INFER_HPP
@@ -24,7 +22,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/compat.hpp"
 #include "core/compressed_tensor.hpp"
 #include "engine/plan.hpp"
 #include "gemm/compressed_gemm.hpp"
@@ -132,32 +129,6 @@ class Int8Network
     {
         return forward(x, InferencePolicy{});
     }
-
-#if BBS_LEGACY_WRAPPERS
-    /** @deprecated Compatibility wrapper: per-batch calibration forced
-     *  through the per-dot plan kind (the original per-(sample, channel)
-     *  compressed-dot loop; the micro_gemm baseline). Like every plan
-     *  run it now enforces inFeatures <= kMaxGemmDepth (the INT32
-     *  accumulator guarantee the batched path always had); within that
-     *  domain — which any network usable with forward() satisfies — it
-     *  is bit-identical to the pre-engine loop. */
-    Batch
-    forwardPerDot(const Batch &x) const
-    {
-        return forward(x, InferencePolicy{engine::Calibration::PerBatch,
-                                          engine::PlanKind::PerDot});
-    }
-
-    /** @deprecated Compatibility wrapper: per-row calibration, Auto
-     *  execution (the serving policy). Row r of the result is
-     *  bit-identical to a one-row forward pass on row r alone. */
-    Batch
-    forwardRowCalibrated(const Batch &x) const
-    {
-        return forward(x, InferencePolicy{engine::Calibration::PerRow,
-                                          engine::PlanKind::Auto});
-    }
-#endif // BBS_LEGACY_WRAPPERS
 
     /** Argmax predictions (default policy). */
     std::vector<int> predict(const Batch &x) const;

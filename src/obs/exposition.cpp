@@ -148,11 +148,19 @@ writeJsonRecords(const std::vector<MetricSnapshot> &metrics, JsonWriter &w)
 double
 histogramQuantile(const MetricSnapshot &h, double q)
 {
-    if (h.type != MetricSnapshot::Type::Histogram || h.count == 0)
+    if (h.type != MetricSnapshot::Type::Histogram)
+        return 0.0;
+    // Total the buckets walked below rather than trusting h.count: a
+    // count read apart from the buckets can run ahead of them, and a
+    // rank past the bucket sum would walk off the ladder to its top.
+    std::uint64_t total = 0;
+    for (std::uint64_t c : h.bucketCounts)
+        total += c;
+    if (total == 0)
         return 0.0;
     q = std::min(std::max(q, 0.0), 1.0);
-    // The observation whose value we estimate: rank in [1, count].
-    double rank = q * static_cast<double>(h.count);
+    // The observation whose value we estimate: rank in [1, total].
+    double rank = q * static_cast<double>(total);
     if (rank < 1.0)
         rank = 1.0;
     std::uint64_t cumulative = 0;

@@ -60,13 +60,13 @@ void writeJsonRecords(const std::vector<MetricSnapshot> &metrics,
  * between the bucket's lower bound (the previous bound, or 0 for the
  * first bucket) and its upper bound by the rank's position among the
  * bucket's observations. A quantile landing in the +Inf tail returns
- * the last finite bound (the estimator cannot see past it). Returns 0
- * for an empty histogram or a snapshot that is not a histogram.
+ * the last finite bound (the estimator cannot see past it). The total
+ * is the sum of @p h.bucketCounts (h.count is not read). Returns 0 for
+ * an empty histogram or a snapshot that is not a histogram.
  *
- * This is the bucket-resolution complement to the raw-sample ring in
- * ServerStats: the ring is exact but covers a sliding window, the
- * histogram covers the full run but quantizes to bucket bounds.
- * test_obs cross-checks the two against each other.
+ * ServerStats derives its p50/p99 latencies here, over the full run at
+ * bucket resolution; test_obs checks the estimate against the exact
+ * raw-sample percentile.
  */
 double histogramQuantile(const MetricSnapshot &h, double q);
 

@@ -25,7 +25,7 @@ namespace bbs {
 /** Batch-formation knobs (see README "Serving"). */
 struct BatcherConfig
 {
-    /** Largest batch one gemmCompressed call executes. */
+    /** Largest batch one batched forward executes. */
     std::int64_t maxBatch = 32;
     /**
      * Longest a batch waits for co-riders after its first request, in

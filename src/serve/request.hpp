@@ -5,9 +5,9 @@
  * A request is one sample for one named model, with an optional absolute
  * deadline. The runtime coalesces concurrent requests into GEMM batches
  * (serve/batcher.hpp), but every response is computed with per-row
- * activation calibration (Int8Network::forwardRowCalibrated), so a
- * request's logits are bit-identical to running it alone through
- * forwardPerDot() — batching is invisible except in latency/throughput.
+ * activation calibration (Calibration::PerRow), so a request's logits
+ * are bit-identical to running it alone through the per-dot plan kind —
+ * batching is invisible except in latency/throughput.
  */
 #ifndef BBS_SERVE_REQUEST_HPP
 #define BBS_SERVE_REQUEST_HPP

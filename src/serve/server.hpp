@@ -54,7 +54,7 @@ namespace bbs {
 
 struct ServerConfig
 {
-    std::int64_t maxBatch = 32;   ///< requests per gemmCompressed call
+    std::int64_t maxBatch = 32;   ///< requests per batched forward
     std::int64_t maxDelayUs = 2000; ///< flush-on-timeout bound
     /** Serving threads. 0 = none: drive manually with drainOnce()
      *  (deterministic tests). When > 0 the count is raised to at least

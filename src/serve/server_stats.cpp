@@ -1,10 +1,8 @@
 #include "serve/server_stats.hpp"
 
-#include <algorithm>
 #include <numeric>
 
 #include "common/logging.hpp"
-#include "common/stats.hpp"
 #include "obs/exposition.hpp"
 
 namespace bbs {
@@ -53,12 +51,6 @@ ServerStats::ServerStats(std::int64_t maxBatch, obs::Registry *registry)
       start_(std::chrono::steady_clock::now())
 {
     BBS_REQUIRE(maxBatch >= 1, "maxBatch must be >= 1, got ", maxBatch);
-    // The full window up front (~1 MiB): recordCompletion's push_back
-    // then never reallocates, keeping the serving hot path
-    // allocation-free from the very first request instead of only after
-    // the window fills.
-    latenciesUs_.reserve(kLatencyWindow);
-    queueUs_.reserve(kLatencyWindow);
 }
 
 void
@@ -67,18 +59,6 @@ ServerStats::recordCompletion(double queueUs, double totalUs)
     completed_.inc();
     latencyUs_.observe(totalUs);
     queueWaitUs_.observe(queueUs);
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t pos = static_cast<std::size_t>(ringWrites_) %
-                      kLatencyWindow;
-    ++ringWrites_;
-    if (pos < latenciesUs_.size()) { // window full: overwrite oldest
-        latenciesUs_[pos] = totalUs;
-        queueUs_[pos] = queueUs;
-    } else {
-        latenciesUs_.push_back(totalUs);
-        queueUs_.push_back(queueUs);
-    }
 }
 
 void
@@ -124,61 +104,26 @@ ServerStats::snapshot() const
         s.meanBatchRows = batchRows_.sum() /
                           static_cast<double>(batchCount);
 
-    // Bucket-derived percentiles over the full run (the ring below is
-    // exact but windowed). One snapshot struct, read bucket by bucket
-    // like a scrape would.
-    {
-        obs::MetricSnapshot hist;
-        hist.type = obs::MetricSnapshot::Type::Histogram;
-        hist.bounds = latencyUs_.bounds();
-        hist.bucketCounts.resize(hist.bounds.size() + 1);
-        for (std::size_t i = 0; i < hist.bucketCounts.size(); ++i)
-            hist.bucketCounts[i] = latencyUs_.bucketCount(i);
-        hist.count = latencyUs_.count();
-        hist.sum = latencyUs_.sum();
-        s.p50HistUs = obs::histogramQuantile(hist, 0.50);
-        s.p99HistUs = obs::histogramQuantile(hist, 0.99);
-    }
+    // Bucket-derived percentiles over the full run: one read of each
+    // bucket, like a scrape (histogramQuantile totals what it walks).
+    obs::MetricSnapshot hist;
+    hist.type = obs::MetricSnapshot::Type::Histogram;
+    hist.bounds = latencyUs_.bounds();
+    hist.bucketCounts.resize(hist.bounds.size() + 1);
+    for (std::size_t i = 0; i < hist.bucketCounts.size(); ++i)
+        hist.bucketCounts[i] = latencyUs_.bucketCount(i);
+    s.p50Us = obs::histogramQuantile(hist, 0.50);
+    s.p99Us = obs::histogramQuantile(hist, 0.99);
 
-    std::lock_guard<std::mutex> lock(mutex_);
-    s.latencyWindow = kLatencyWindow;
-    s.latencyDropped = ringWrites_ > kLatencyWindow
-                           ? ringWrites_ - kLatencyWindow
-                           : 0;
-    if (!latenciesUs_.empty()) {
-        s.p50Us = percentile(latenciesUs_, 50.0);
-        s.p99Us = percentile(latenciesUs_, 99.0);
-        s.meanUs = mean(latenciesUs_);
-        s.maxUs = *std::max_element(latenciesUs_.begin(),
-                                    latenciesUs_.end());
-        s.meanQueueUs = mean(queueUs_);
-    }
+    std::uint64_t queued = queueWaitUs_.count();
+    if (queued > 0)
+        s.meanQueueUs = queueWaitUs_.sum() / static_cast<double>(queued);
     s.elapsedS = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - start_)
                      .count();
     if (s.elapsedS > 0.0)
         s.throughputRps = static_cast<double>(s.completed) / s.elapsedS;
     return s;
-}
-
-void
-ServerStats::reset()
-{
-    completed_.reset();
-    expired_.reset();
-    shutdownRejected_.reset();
-    badRequests_.reset();
-    overloaded_.reset();
-    batches_.reset();
-    batchRows_.reset();
-    latencyUs_.reset();
-    queueWaitUs_.reset();
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    start_ = std::chrono::steady_clock::now();
-    latenciesUs_.clear();
-    queueUs_.clear();
-    ringWrites_ = 0;
 }
 
 } // namespace bbs

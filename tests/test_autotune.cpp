@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the measured plan autotuner and its persistent tuning cache
- * (engine/autotune.hpp), the runtime cache-topology detection backing
- * the default GEMM depth block (engine/cache_topology.hpp), and the
- * tiny-shape selectKind crossovers TuningParams promoted to data.
+ * (engine/autotune.hpp), and the runtime cache-topology detection
+ * backing the default GEMM depth block (engine/cache_topology.hpp).
  *
  * The load-bearing invariants: every tuning-parameter combination is
  * bit-identical (tuning moves wall-clock time only); a deployed cache
@@ -118,49 +117,6 @@ TEST(CacheTopologyTest, DetectionAndDepthBlockDerivation)
               engine::defaultDepthBlockWords(topo.l1dBytes));
     p.depthBlockWords = 256; // explicit value passes through untouched
     EXPECT_EQ(p.resolvedDepthBlockWords(), 256);
-}
-
-// --------------------------------------------- selectKind tiny crossovers
-
-TEST(SelectKindTest, TinyShapesStayPerDotAtModerateBatch)
-{
-    // Tiny weight rows: the batched kernels cannot amortize staging over
-    // 2 output channels, so moderate batches stay per-dot...
-    EXPECT_EQ(MatmulPlan::selectKind(2, 512, 4, true, 5.0),
-              PlanKind::PerDot);
-    // ...and tiny depth (half a packed word) behaves the same.
-    EXPECT_EQ(MatmulPlan::selectKind(8, 16, 4, true, 5.0),
-              PlanKind::PerDot);
-    // Past tinyBatchMax, batching wins regardless of shape.
-    EXPECT_EQ(MatmulPlan::selectKind(2, 512, 16, true, 5.0),
-              PlanKind::CompressedBatched);
-    EXPECT_EQ(MatmulPlan::selectKind(8, 16, 16, true, 5.0),
-              PlanKind::CompressedBatched);
-    // Non-tiny shapes keep the plain batch-1 crossover.
-    EXPECT_EQ(MatmulPlan::selectKind(8, 64, 4, true, 5.0),
-              PlanKind::CompressedBatched);
-}
-
-TEST(SelectKindTest, CrossoversComeFromTuningParams)
-{
-    TuningParams t; // defaults
-    EXPECT_EQ(MatmulPlan::selectKind(64, 256, 2, true, 5.0, t),
-              PlanKind::CompressedBatched);
-    t.perDotMaxBatch = 8; // raise the per-dot crossover
-    EXPECT_EQ(MatmulPlan::selectKind(64, 256, 2, true, 5.0, t),
-              PlanKind::PerDot);
-    EXPECT_EQ(MatmulPlan::selectKind(64, 256, 8, true, 5.0, t),
-              PlanKind::PerDot);
-    EXPECT_EQ(MatmulPlan::selectKind(64, 256, 9, true, 5.0, t),
-              PlanKind::CompressedBatched);
-
-    t = TuningParams{};
-    t.denseStoredBits = 5.0; // incompressible operands go tiled earlier
-    EXPECT_EQ(MatmulPlan::selectKind(64, 256, 16, true, 5.0, t),
-              PlanKind::TiledBitSerial);
-    t.tinyDepth = 256; // widen "tiny" and batch 4 flips to per-dot
-    EXPECT_EQ(MatmulPlan::selectKind(64, 256, 4, true, 4.0, t),
-              PlanKind::PerDot);
 }
 
 // ---------------------------------------- tuning-parameter bit-identity

@@ -3,15 +3,12 @@
  * Tests that all bit-serial dot-product forms (Eq. 1-3 and the
  * compressed-domain form) agree exactly with the dense reference —
  * through the engine facade (engine::dot / engine::dotCompressed), which
- * is the canonical route into the kernels. With the compatibility layer
- * enabled, the legacy free functions are additionally pinned
- * bit-identical to the facade.
+ * is the canonical route into the kernels.
  */
 #include <gtest/gtest.h>
 
 #include "common/bit_utils.hpp"
 #include "common/random.hpp"
-#include "core/bbs_dot.hpp"
 #include "engine/engine.hpp"
 
 namespace bbs {
@@ -130,55 +127,6 @@ TEST(CompressedDot, FewerEffectualOpsThanUncompressedBbs)
     }
     EXPECT_LT(opsCompressed, opsFull);
 }
-
-#if BBS_LEGACY_WRAPPERS
-TEST(LegacyWrappers, DotZooPinnedBitIdenticalToEngine)
-{
-    // The pre-engine free functions are wrappers over the facade; fuzz
-    // every form against the engine call it delegates to — value,
-    // effectualOps and invertedColumns all identical.
-    Rng rng(0x1e9);
-    for (std::size_t n : {1u, 7u, 32u, 64u}) {
-        for (int iter = 0; iter < 50; ++iter) {
-            auto w = randomVec(rng, n);
-            auto a = randomVec(rng, n);
-            EXPECT_EQ(
-                dotReference(w, a),
-                engine::dot(w, a, engine::DotMethod::Reference).value);
-            EXPECT_EQ(
-                dotBitSerialZeroSkip(w, a),
-                engine::dot(w, a, engine::DotMethod::ZeroSkip).value);
-            EXPECT_EQ(
-                dotBitSerialZeroSkipScalar(w, a),
-                engine::dot(w, a, engine::DotMethod::ZeroSkipScalar)
-                    .value);
-            BbsDotResult lb = dotBitSerialBbs(w, a);
-            BbsDotResult eb = engine::dot(w, a, engine::DotMethod::Bbs);
-            EXPECT_EQ(lb.value, eb.value);
-            EXPECT_EQ(lb.effectualOps, eb.effectualOps);
-            EXPECT_EQ(lb.invertedColumns, eb.invertedColumns);
-            BbsDotResult ls = dotBitSerialBbsScalar(w, a);
-            BbsDotResult es =
-                engine::dot(w, a, engine::DotMethod::BbsScalar);
-            EXPECT_EQ(ls.value, es.value);
-            EXPECT_EQ(ls.effectualOps, es.effectualOps);
-
-            CompressedGroup cg = compressGroup(
-                std::span<const std::int8_t>(w.data(),
-                                             std::min<std::size_t>(n, 64)),
-                4, PruneStrategy::ZeroPointShifting);
-            std::span<const std::int8_t> aa(a.data(), cg.stored.size());
-            BbsDotResult lc = dotCompressed(cg, aa);
-            BbsDotResult ec = engine::dotCompressed(cg, aa);
-            EXPECT_EQ(lc.value, ec.value);
-            EXPECT_EQ(lc.effectualOps, ec.effectualOps);
-            EXPECT_EQ(lc.invertedColumns, ec.invertedColumns);
-            EXPECT_EQ(dotCompressedScalar(cg, aa).value,
-                      engine::dotCompressed(cg, aa, true).value);
-        }
-    }
-}
-#endif // BBS_LEGACY_WRAPPERS
 
 } // namespace
 } // namespace bbs

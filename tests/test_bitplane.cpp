@@ -12,7 +12,6 @@
 #include "common/bit_utils.hpp"
 #include "common/random.hpp"
 #include "core/bbs.hpp"
-#include "core/bbs_dot.hpp"
 #include "engine/engine.hpp"
 #include "core/bitplane.hpp"
 #include "core/compressed_tensor.hpp"

@@ -9,7 +9,6 @@
 #include "accel/bitvert_pe.hpp"
 #include "common/bit_utils.hpp"
 #include "common/random.hpp"
-#include "core/bbs_dot.hpp"
 #include "engine/engine.hpp"
 
 namespace bbs {

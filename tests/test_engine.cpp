@@ -87,35 +87,50 @@ TEST(EngineConfigTest, FromEnvSnapshotsResolvedState)
 
 // --------------------------------------------------------- plan selection
 
-TEST(PlanSelectionTest, BatchBoundaries)
+TEST(PlanSelectionTest, SelectKindTable)
 {
-    // Compressed weights: per-dot at batch 1 (nothing amortizes the
-    // activation pack), batched compressed GEMM from batch 2 up.
-    EXPECT_EQ(MatmulPlan::selectKind(8, 64, 1, true, 5.0),
-              PlanKind::PerDot);
-    EXPECT_EQ(MatmulPlan::selectKind(8, 64, 2, true, 5.0),
-              PlanKind::CompressedBatched);
-    EXPECT_EQ(MatmulPlan::selectKind(8, 64, 64, true, 5.0),
-              PlanKind::CompressedBatched);
-    // Batch 0 (planning before any run) behaves like batch 1.
-    EXPECT_EQ(MatmulPlan::selectKind(8, 64, 0, true, 5.0),
-              PlanKind::PerDot);
+    // Dense weights always take the tiled kernel. Compressed weights
+    // take per-dot at batch <= 1 (batch 0 is planning before any run;
+    // nothing amortizes the activation pack). From batch 2 up they take
+    // the tiled kernel when every group kept all 8 columns (the
+    // group-windowed kernel would pay overhead for nothing), else the
+    // compressed-batched kernel, all-pruned operands (0 stored bits)
+    // included.
+    const PlanKind D = PlanKind::PerDot;
+    const PlanKind T = PlanKind::TiledBitSerial;
+    const PlanKind C = PlanKind::CompressedBatched;
+    const std::int64_t batches[] = {0, 1, 2, 4, 8, 64};
+    // Columns: dense; compressed at 0, 5 and 8 mean stored bits.
+    const PlanKind expected[][4] = {
+        {T, D, D, D}, // batch 0
+        {T, D, D, D}, // batch 1
+        {T, C, C, T}, // batch 2
+        {T, C, C, T}, // batch 4
+        {T, C, C, T}, // batch 8
+        {T, C, C, T}, // batch 64
+    };
+    for (std::size_t b = 0; b < std::size(batches); ++b) {
+        std::int64_t batch = batches[b];
+        EXPECT_EQ(MatmulPlan::selectKind(batch, false, 8.0), expected[b][0])
+            << "dense batch=" << batch;
+        const double bits[] = {0.0, 5.0, 8.0};
+        for (std::size_t i = 0; i < 3; ++i)
+            EXPECT_EQ(MatmulPlan::selectKind(batch, true, bits[i]),
+                      expected[b][i + 1])
+                << "compressed bits=" << bits[i] << " batch=" << batch;
+    }
 
-    // Dense weights always take the tiled bit-serial kernel.
-    for (std::int64_t batch : {1, 2, 64})
-        EXPECT_EQ(MatmulPlan::selectKind(8, 64, batch, false, 8.0),
-                  PlanKind::TiledBitSerial);
-
-    // "Compressed" weights that kept all 8 columns everywhere: the
-    // group-windowed kernel pays overhead for nothing; the plan re-packs
-    // dense. All-pruned operands (0 stored bits) stay compressed-batched
-    // — their whole contribution is the constant multiplier term.
-    EXPECT_EQ(MatmulPlan::selectKind(8, 64, 16, true, 8.0),
-              PlanKind::TiledBitSerial);
-    EXPECT_EQ(MatmulPlan::selectKind(8, 64, 16, true, 0.0),
-              PlanKind::CompressedBatched);
-    EXPECT_EQ(MatmulPlan::selectKind(8, 64, 1, true, 0.0),
-              PlanKind::PerDot);
+    // Matrix shape plays no part: a 2-row weight matrix batches at 4
+    // (heuristic-only, so a deployed BBS_TUNE_CACHE cannot steer it).
+    Rng rng(12);
+    EngineConfig heuristic;
+    heuristic.tuneCachePath = "none";
+    Session s(heuristic);
+    PackedOperand thin =
+        s.pack(randomMatrix(2, 512, rng),
+               PackOptions{32, 4, PruneStrategy::ZeroPointShifting});
+    ASSERT_LT(thin.meanStoredBits(), 8.0);
+    EXPECT_EQ(s.plan(thin).kindForBatch(4), PlanKind::CompressedBatched);
 }
 
 TEST(PlanSelectionTest, PlanResolvesKindPerBatchAndHonoursForce)
@@ -507,57 +522,7 @@ TEST(InferencePolicyTest, PoliciesMatchAcrossExecutionKinds)
                 ASSERT_EQ(rowCal.flat(i), autoRun.flat(i)) << "i=" << i;
         }
     }
-
-#if BBS_LEGACY_WRAPPERS
-    // The legacy method wrappers resolve to the same policies.
-    Batch x(Shape{5, ds.features});
-    for (std::int64_t i = 0; i < x.numel(); ++i)
-        x.flat(i) = ds.testX.flat(i);
-    Batch viaWrapper = engine.forwardRowCalibrated(x);
-    Batch viaPolicy = engine.forward(
-        x, InferencePolicy{bbs::engine::Calibration::PerRow,
-                           bbs::engine::PlanKind::Auto});
-    for (std::int64_t i = 0; i < viaWrapper.numel(); ++i)
-        ASSERT_EQ(viaWrapper.flat(i), viaPolicy.flat(i)) << "i=" << i;
-#endif
 }
-
-#if BBS_LEGACY_WRAPPERS
-TEST(LegacyWrappersTest, GemmWrappersPinnedToEngine)
-{
-    // The legacy GEMM free functions delegate through default-Session
-    // plans; fuzz them bit-identical against direct plan runs.
-    Rng rng(88);
-    for (int iter = 0; iter < 10; ++iter) {
-        std::int64_t n = rng.uniformInt(1, 16);
-        std::int64_t k = rng.uniformInt(1, 8);
-        std::int64_t c = rng.uniformInt(1, 3) * 32;
-        Int8Tensor acts = randomMatrix(n, c, rng);
-        Int8Tensor w = randomMatrix(k, c, rng);
-
-        BitSerialMatrix ap = BitSerialMatrix::pack(acts);
-        BitSerialMatrix wp = BitSerialMatrix::pack(w);
-        Int32Tensor viaWrapper = gemmBitSerial(ap, wp);
-        Session s;
-        Int32Tensor viaPlan =
-            s.plan(PackedOperand::viewDense(wp)).run(acts);
-        for (std::int64_t i = 0; i < viaPlan.numel(); ++i)
-            ASSERT_EQ(viaWrapper.flat(i), viaPlan.flat(i)) << "i=" << i;
-
-        CompressedTensor ct = CompressedTensor::compress(
-            w, 32, 3, PruneStrategy::ZeroPointShifting);
-        CompressedRowPlanes planes = CompressedRowPlanes::prepare(ct);
-        Int32Tensor cWrapper = gemmCompressed(planes, ap);
-        Int32Tensor cInto;
-        gemmCompressedInto(planes, ap, cInto);
-        Int32Tensor cPlan = s.plan(s.pack(ct)).run(acts);
-        for (std::int64_t i = 0; i < cPlan.numel(); ++i) {
-            ASSERT_EQ(cWrapper.flat(i), cPlan.flat(i)) << "i=" << i;
-            ASSERT_EQ(cInto.flat(i), cPlan.flat(i)) << "i=" << i;
-        }
-    }
-}
-#endif // BBS_LEGACY_WRAPPERS
 
 } // namespace
 } // namespace bbs

@@ -10,8 +10,8 @@
 
 #include "accel/bitvert_array.hpp"
 #include "accel/factory.hpp"
-#include "core/bbs_dot.hpp"
 #include "core/serialization.hpp"
+#include "engine/session.hpp"
 #include "nn/layers.hpp"
 #include "quant/quantizer.hpp"
 #include "serve/server.hpp"

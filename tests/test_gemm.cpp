@@ -12,7 +12,6 @@
 
 #include "common/parallel.hpp"
 #include "common/random.hpp"
-#include "core/bbs_dot.hpp"
 #include "engine/engine.hpp"
 #include "gemm/compressed_gemm.hpp"
 #include "gemm/gemm.hpp"

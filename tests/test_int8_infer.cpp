@@ -127,12 +127,6 @@ TEST_F(Int8InferTest, GemmForwardBitIdenticalToPerDotReference)
                     << "target=" << target << " rows=" << rows
                     << " i=" << i;
             }
-#if BBS_LEGACY_WRAPPERS
-            // The legacy wrapper must resolve to the same policy.
-            Batch legacy = engine.forwardPerDot(x);
-            for (std::int64_t i = 0; i < gemm.numel(); ++i)
-                ASSERT_EQ(legacy.flat(i), perDot.flat(i)) << "i=" << i;
-#endif
         }
     }
 }
