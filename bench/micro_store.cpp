@@ -1,16 +1,18 @@
 /**
  * @file
- * Model-store load path: mmap-backed BBMS container vs cold BOP1
- * deserialization, at the scale of the largest transformer benchmark's
- * MLP stack (BERT-base FFN blocks: 768<->3072, ~9.5M weights).
+ * Model-store load path: mmap-backed BBMS container vs packing the
+ * model from its INT8 codes, at the scale of the largest transformer
+ * benchmark's MLP stack (BERT-base FFN blocks: 768<->3072, ~9.5M
+ * weights).
  *
  * Three claims, all CI gates in Release:
  *
  *  1. SPEED: loading the model from its container (open + validate +
- *     map + per-layer plan creation) is >= 20x faster than rebuilding
- *     it from BOP1 operand images (PackedOperand::deserialize repacks
- *     every plane; the container's payload IS the in-memory layout, so
- *     mapping replaces decode with page faults).
+ *     map + per-layer plan creation) is >= 20x faster than packing each
+ *     layer from its INT8 codes plus plan creation (Session::pack
+ *     BBS-compresses every group into planes; the container's payload
+ *     IS the in-memory layout, so mapping replaces that work with page
+ *     faults).
  *  2. FIRST-TOUCH BIT-IDENTITY: the mapped network's very first forward
  *     pass — activations faulting the weight pages in on demand — is
  *     bit-identical to the owned network it was packed from.
@@ -136,9 +138,9 @@ int
 main(int argc, char **argv)
 {
     bench::printHeader(
-        "micro_store: mmap model container vs BOP1 deserialize",
+        "micro_store: mmap model container vs packing from INT8",
         "mapping a BBMS container is the in-memory layout + page "
-        "faults; rebuilding from BOP1 repacks every plane");
+        "faults; packing from INT8 compresses every group");
     bench::jsonInit("micro_store", argc, argv);
 
     std::cout << "packing the benchmark model (BERT-base FFN shapes)...\n";
@@ -148,29 +150,24 @@ main(int argc, char **argv)
                        std::to_string(::getpid()) + ".bbms";
     std::size_t containerBytes = store::writeModelContainer(owned, path);
 
-    // BOP1 baseline images: one serialized operand per layer, packed
-    // from the same (compressed-domain) weights the container holds.
-    std::vector<std::vector<std::uint8_t>> blobs;
-    std::size_t blobBytes = 0;
-    for (const auto &layer : owned.layers()) {
-        engine::PackedOperand op = engine::defaultSession().pack(
-            layer.planes->decompress(),
-            engine::PackOptions{layer.groupSize, 4,
-                                PruneStrategy::ZeroPointShifting});
-        blobs.push_back(op.serialize());
-        blobBytes += blobs.back().size();
-    }
+    // Baseline inputs: each layer's INT8 codes (the same compressed-
+    // domain weights the container holds), decoded before timing.
+    std::vector<Int8Tensor> codes;
+    for (const auto &layer : owned.layers())
+        codes.push_back(layer.planes->decompress());
 
     // ---- load timing: best of a few reps each, both paths warm in
-    //      memory (blobs in RAM, container in page cache) — the delta
-    //      measured is decode work, which is the point.
+    //      memory (codes in RAM, container in page cache) — the delta
+    //      measured is packing work, which is the point.
     constexpr int kReps = 5;
-    double deserS = 1e30, mapS = 1e30;
+    double packS = 1e30, mapS = 1e30;
     for (int rep = 0; rep < kReps; ++rep) {
-        deserS = std::min(deserS, wallSecondsOf([&] {
-            for (const auto &blob : blobs) {
-                engine::PackedOperand op =
-                    engine::PackedOperand::deserialize(blob);
+        packS = std::min(packS, wallSecondsOf([&] {
+            for (std::size_t i = 0; i < codes.size(); ++i) {
+                engine::PackedOperand op = engine::defaultSession().pack(
+                    codes[i],
+                    engine::PackOptions{owned.layers()[i].groupSize, 4,
+                                        PruneStrategy::ZeroPointShifting});
                 engine::MatmulPlan plan =
                     engine::defaultSession().plan(op);
                 BBS_REQUIRE(plan.valid(), "baseline plan invalid");
@@ -183,7 +180,7 @@ main(int argc, char **argv)
                         "mapped layer count mismatch");
         }));
     }
-    double speedup = deserS / mapS;
+    double speedup = packS / mapS;
 
     // ---- first-touch bit-identity: a FRESH mapping's first forward.
     bool identical = true;
@@ -253,9 +250,7 @@ main(int argc, char **argv)
     Table table({"metric", "value"});
     table.addRow({"container bytes",
                   format("%.1f MiB", containerBytes / 1048576.0)});
-    table.addRow({"BOP1 image bytes",
-                  format("%.1f MiB", blobBytes / 1048576.0)});
-    table.addRow({"deserialize load", format("%.1f ms", deserS * 1e3)});
+    table.addRow({"pack-from-INT8 load", format("%.1f ms", packS * 1e3)});
     table.addRow({"mapped load", format("%.2f ms", mapS * 1e3)});
     table.addRow({"speedup", bench::times(speedup)});
     table.addRow({"first-touch bit-identity", identical ? "yes" : "NO"});
@@ -266,8 +261,7 @@ main(int argc, char **argv)
 
     bench::jsonAdd("store-load", "bert_ffn_stack",
                    {{"container_mib", containerBytes / 1048576.0},
-                    {"bop1_mib", blobBytes / 1048576.0},
-                    {"deserialize_ms", deserS * 1e3},
+                    {"pack_ms", packS * 1e3},
                     {"mapped_ms", mapS * 1e3},
                     {"speedup", speedup},
                     {"bit_identical", identical ? 1.0 : 0.0},

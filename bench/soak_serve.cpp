@@ -34,8 +34,8 @@
  * serve bit-identically again), a connection stalled MID-FRAME for a
  * second (half a Request frame held across a window — other connections
  * must keep being served, and completing the frame must still yield the
- * bit-exact answer), a malformed PackedOperand blob that MUST be
- * rejected by tryDeserialize (the registry-load fault), a
+ * bit-exact answer), a corrupted operand container that MUST be
+ * rejected by MappedContainer::tryOpen (the registry-load fault), a
  * queue-overflow burst of tight-deadline requests (with admission on,
  * the shed + expiry counters together must absorb it), and a
  * worker-pool hog (a foreign parallelFor occupies the persistent pool,
@@ -69,6 +69,7 @@
 #include <deque>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -286,9 +287,10 @@ struct ChaosReport
 };
 
 /**
- * The registry-load fault: a serialized PackedOperand is corrupted two
- * ways; tryDeserialize must reject both WITHOUT terminating, and must
- * still accept the intact blob afterwards.
+ * The registry-load fault: an operand is written to a BBMS container,
+ * and two corrupted copies of the file (a flipped magic byte, a
+ * truncation) must each be rejected by MappedContainer::tryOpen WITHOUT
+ * terminating; the intact file must still map back to the operand.
  */
 void
 injectMalformedBlob(ChaosReport &report)
@@ -300,29 +302,42 @@ injectMalformedBlob(ChaosReport &report)
     engine::PackOptions opts;
     opts.targetColumns = 4;
     engine::PackedOperand op = engine::PackedOperand::packCompressed(w, opts);
-    std::vector<std::uint8_t> blob = op.serialize();
+    std::string path =
+        "/tmp/bbs_soak_blob_" + std::to_string(::getpid()) + ".bbms";
+    store::writeOperandContainer({op}, path);
+    std::string blob;
+    {
+        std::ifstream in(path, std::ios::binary);
+        blob.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    }
 
-    engine::PackedOperand out;
-    std::string error;
-
-    std::vector<std::uint8_t> bad = blob;
+    auto rejects = [&](const std::string &bytes) {
+        std::string badPath = path + ".bad";
+        std::ofstream(badPath, std::ios::binary | std::ios::trunc) << bytes;
+        std::shared_ptr<const store::MappedContainer> c;
+        std::string error;
+        bool rejected = !store::MappedContainer::tryOpen(badPath, c, &error);
+        std::remove(badPath.c_str());
+        return rejected && c == nullptr && !error.empty();
+    };
+    std::string bad = blob;
     bad[0] ^= 0xff; // magic
-    report.blobCorruptRejected =
-        !engine::PackedOperand::tryDeserialize(bad, out, &error);
+    report.blobCorruptRejected = rejects(bad);
+    report.blobTruncatedRejected = rejects(blob.substr(0, blob.size() / 2));
 
-    std::vector<std::uint8_t> truncated(blob.begin(), blob.begin() + 9);
-    report.blobTruncatedRejected =
-        !engine::PackedOperand::tryDeserialize(truncated, out, &error);
-
-    if (engine::PackedOperand::tryDeserialize(blob, out, nullptr)) {
+    std::shared_ptr<const store::MappedContainer> container;
+    if (store::MappedContainer::tryOpen(path, container)) {
         // Compression is lossy, so the reference is the ORIGINAL
-        // operand's reconstruction, which the round trip must match
+        // operand's reconstruction, which the mapped view must match
         // bit-exactly.
-        Int8Tensor round = out.unpack(), ref = op.unpack();
+        Int8Tensor round = store::mapOperand(container, 0).unpack();
+        Int8Tensor ref = op.unpack();
         std::span<const std::int8_t> a = round.data(), b = ref.data();
         report.blobIntactAccepted =
             a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
     }
+    std::remove(path.c_str());
 }
 
 // ------------------------------------------------------------------ gates
@@ -738,8 +753,8 @@ main(int argc, char **argv)
             faults.end(ev, sinceStart(Clock::now()));
         }
 
-        // Fault 4: malformed operand blob at "registry load" — must be
-        // rejected without terminating, and serving must not notice.
+        // Fault 4: malformed operand container at "registry load" — must
+        // be rejected without terminating, and serving must not notice.
         if (sleepUntilFrac(0.52)) {
             std::size_t ev =
                 faults.begin("malformed-blob", sinceStart(Clock::now()));

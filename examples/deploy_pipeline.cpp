@@ -4,21 +4,23 @@
  * BitVert deployment:
  *
  *   train -> per-channel INT8 PTQ -> engine Session::pack at a BBS
- *   operating point -> PackedOperand::serialize (the DRAM image) ->
- *   deserialize -> plan.run bit-identity check -> batched integer
+ *   operating point -> store::writeOperandContainer (the BBMS file) ->
+ *   store::mapOperand -> plan.run bit-identity check -> batched integer
  *   inference -> accuracy check -> the serving runtime hosting every
  *   operating point behind one queue.
  *
- * Everything downstream of training operates on the serialized bytes, so
- * this example also demonstrates that the wire format is self-sufficient:
- * the reloaded operand's plan replays the original bit-exactly. Offline
+ * The container is self-sufficient: the mapped operands reconstruct the
+ * packed weights and their plans replay the originals bit-exactly. Offline
  * evaluation runs in serving-sized mini-batches; the final stage serves
  * live single-sample traffic through src/serve — request coalescing into
  * the same per-layer plans, with per-row calibration so batching never
  * changes a logit.
  */
+#include <cstdio>
 #include <iostream>
 #include <thread>
+
+#include <unistd.h>
 
 #include "common/table.hpp"
 #include "engine/engine.hpp"
@@ -27,6 +29,7 @@
 #include "nn/int8_infer.hpp"
 #include "quant/quantizer.hpp"
 #include "serve/server.hpp"
+#include "store/container.hpp"
 
 int
 main()
@@ -51,36 +54,37 @@ main()
     double fp32Acc = accuracyPercent(net, ds.testX, ds.testY);
     std::cout << "FP32 accuracy: " << format("%.2f", fp32Acc) << "%\n\n";
 
-    // 2. Quantize + pack + serialize each dense layer; count bytes.
-    // Whole-tensor packing needs the group size to divide the channel
-    // width (groups must not span output channels); pick the largest
-    // divisor <= 32 per layer.
-    auto groupSizeFor = [](std::int64_t cols) {
-        for (std::int64_t g = std::min<std::int64_t>(32, cols); g > 1; --g)
-            if (cols % g == 0)
-                return g;
-        return std::int64_t{1};
-    };
-    std::int64_t rawBytes = 0, packedBytes = 0;
+    // 2. Quantize + pack each dense layer into one operand container;
+    // count the bits of the BBS encoding.
+    std::int64_t rawBytes = 0, packedBits = 0;
+    std::vector<engine::PackedOperand> ops;
     for (FloatTensor *w : net.weightTensors()) {
         QuantizedTensor q = quantizePerChannel(*w, 8);
-        engine::PackOptions packOpts;
-        packOpts.groupSize = groupSizeFor(q.values.shape().dim(1));
-        packOpts.targetColumns = 4;
-        packOpts.strategy = PruneStrategy::ZeroPointShifting;
-        engine::PackedOperand packed = session.pack(q.values, packOpts);
-        std::vector<std::uint8_t> blob = packed.serialize();
+        ops.push_back(session.pack(
+            q.values, engine::PackOptions{32, 4,
+                                          PruneStrategy::ZeroPointShifting}));
+        rawBytes += q.values.numel();
+        // Stored columns plus one metadata byte per group.
+        for (const PackedGroup &pg : ops.back().compressedRows().packedGroups())
+            packedBits += pg.bits * pg.size + 8;
+    }
+    std::string path =
+        "/tmp/bbs_deploy_" + std::to_string(::getpid()) + ".bbms";
+    store::writeOperandContainer(ops, path);
 
-        // 3. Deserialize and verify the DRAM image is self-sufficient:
-        // the reloaded operand reconstructs the same weights and its
-        // plan replays the original bit-exactly.
-        engine::PackedOperand back =
-            engine::PackedOperand::deserialize(blob);
+    // 3. Map the container and verify it is self-sufficient: each mapped
+    // operand reconstructs the same weights and its plan replays the
+    // original bit-exactly.
+    auto container = store::MappedContainer::open(path);
+    std::remove(path.c_str()); // the mapping outlives the unlink
+    for (std::size_t layer = 0; layer < ops.size(); ++layer) {
+        const engine::PackedOperand &packed = ops[layer];
+        engine::PackedOperand back = store::mapOperand(container, layer);
         Int8Tensor a = packed.unpack();
         Int8Tensor b = back.unpack();
         for (std::int64_t i = 0; i < a.numel(); ++i) {
             if (a.flat(i) != b.flat(i)) {
-                std::cerr << "serialization mismatch!\n";
+                std::cerr << "container round-trip mismatch!\n";
                 return 1;
             }
         }
@@ -93,17 +97,15 @@ main()
         Int32Tensor y1 = session.plan(back).run(probe);
         for (std::int64_t i = 0; i < y0.numel(); ++i) {
             if (y0.flat(i) != y1.flat(i)) {
-                std::cerr << "reloaded plan deviated!\n";
+                std::cerr << "mapped plan deviated!\n";
                 return 1;
             }
         }
-        rawBytes += q.values.numel();
-        packedBytes += static_cast<std::int64_t>(blob.size());
     }
     std::cout << "Weight image: " << rawBytes << " B (INT8) -> "
-              << packedBytes << " B (BBS packed, "
-              << format("%.2fx", static_cast<double>(rawBytes) /
-                                     static_cast<double>(packedBytes))
+              << packedBits / 8 << " B (BBS packed, "
+              << format("%.2fx", 8.0 * static_cast<double>(rawBytes) /
+                                     static_cast<double>(packedBits))
               << " smaller)\n";
 
     // 4. Batched integer inference through the GEMM engine, evaluated

@@ -9,16 +9,20 @@
  *    verify the compressed-domain dot product is exact.
  * 4. Create a MatmulPlan for the packed weights and execute a whole
  *    activation batch, verified against the naive integer GEMM — then
- *    round-trip the operand through bytes and show the reloaded plan is
- *    bit-identical.
+ *    round-trip the operand through a BBMS container file and show the
+ *    mapped operand's plan is bit-identical.
  */
+#include <cstdio>
 #include <iostream>
+
+#include <unistd.h>
 
 #include "core/bbs.hpp"
 #include "common/random.hpp"
 #include "engine/engine.hpp"
 #include "gemm/gemm.hpp"
 #include "quant/quantizer.hpp"
+#include "store/container.hpp"
 #include "tensor/distribution.hpp"
 
 int
@@ -45,25 +49,24 @@ main()
               << "  BBS (vector size 8):       "
               << bbsSparsity(q.values, 8) << "  (always >= 0.5)\n";
 
-    // 3. Pack at a BBS operating point: the Session chooses the
-    // compressed row-plane representation and reports the footprint.
-    // (Compress once; the pack(CompressedTensor) overload wraps an
-    // existing compression, and pack(tensor, PackOptions) would do both
-    // steps in one call.)
-    CompressedTensor ct = CompressedTensor::compress(
-        q.values, /*groupSize=*/32, /*targetColumns=*/4,
-        PruneStrategy::ZeroPointShifting);
-    engine::PackedOperand weights = session.pack(ct);
+    // 3. Pack at a BBS operating point: the Session BBS-compresses each
+    // row into the compressed row-plane representation and reports the
+    // footprint.
+    engine::PackedOperand weights = session.pack(
+        q.values, engine::PackOptions{/*groupSize=*/32, /*targetColumns=*/4,
+                                      PruneStrategy::ZeroPointShifting});
     std::cout << "Packed as " << packKindName(weights.kind()) << ": "
               << weights.meanStoredBits()
               << " stored bits/weight (8.0 before)\n";
 
     // The compressed form executes directly: stored columns bit-serially,
     // pruned columns via the BBS-constant x sum-of-activations term.
+    // Shown on one group: the first 32 weights of channel 0.
     std::vector<std::int8_t> activations(32);
     for (auto &a : activations)
         a = static_cast<std::int8_t>(rng.uniformInt(-128, 127));
-    const CompressedGroup &g = ct.group(0);
+    CompressedGroup g = compressGroup(q.values.channel(0).first(32), 4,
+                                      PruneStrategy::ZeroPointShifting);
     BbsDotResult compressed = session.dotCompressed(g, activations);
     std::int64_t reference =
         session.dot(g.decompress(), activations,
@@ -99,16 +102,21 @@ main()
     if (mismatches != 0)
         return 1; // let the CI smoke step gate the exactness claim
 
-    // Serialize -> reload -> run: the operand's byte image (the DRAM
-    // layout the accelerator streams) reproduces the plan bit-exactly.
-    std::vector<std::uint8_t> bytes = weights.serialize();
-    engine::PackedOperand reloaded =
-        engine::PackedOperand::deserialize(bytes);
-    Int32Tensor replay = session.plan(reloaded).run(batch);
+    // Write -> map -> run: the operand's BBMS container holds the
+    // in-memory plane layout, so the mapped operand replays the plan
+    // bit-exactly.
+    std::string path =
+        "/tmp/bbs_quickstart_" + std::to_string(::getpid()) + ".bbms";
+    std::size_t bytes = store::writeOperandContainer({weights}, path);
+    Int32Tensor replay =
+        session
+            .plan(store::mapOperand(store::MappedContainer::open(path), 0))
+            .run(batch);
+    std::remove(path.c_str());
     std::int64_t drift = 0;
     for (std::int64_t i = 0; i < product.numel(); ++i)
         drift += (replay.flat(i) != product.flat(i));
-    std::cout << "Operand round-trip: " << bytes.size() << " B image, "
+    std::cout << "Operand round-trip: " << bytes << " B container, "
               << (drift == 0 ? "bit-identical replay" : "MISMATCH")
               << "\n";
     if (drift != 0)

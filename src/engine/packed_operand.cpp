@@ -1,9 +1,6 @@
 #include "engine/packed_operand.hpp"
 
-#include <cstring>
-
 #include "common/logging.hpp"
-#include "core/serialization.hpp"
 
 namespace bbs::engine {
 
@@ -15,77 +12,6 @@ std::shared_ptr<const T>
 nonOwning(const T &ref)
 {
     return std::shared_ptr<const T>(std::shared_ptr<void>(), &ref);
-}
-
-// ---------------------------------------------------------- byte helpers
-
-void
-putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void
-putI64(std::vector<std::uint8_t> &out, std::int64_t v)
-{
-    auto u = static_cast<std::uint64_t>(v);
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>((u >> (8 * i)) & 0xff));
-}
-
-/** Bounds-checked little-endian reader; a read past the end clears
- *  `ok` and returns 0 instead of terminating (the caller decides how a
- *  truncated blob fails). */
-struct TryByteReader
-{
-    std::span<const std::uint8_t> bytes;
-    std::size_t pos = 0;
-    bool ok = true;
-
-    std::uint8_t
-    u8()
-    {
-        if (pos + 1 > bytes.size()) {
-            ok = false;
-            return 0;
-        }
-        return bytes[pos++];
-    }
-
-    std::uint32_t
-    u32()
-    {
-        if (pos + 4 > bytes.size()) {
-            ok = false;
-            return 0;
-        }
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(bytes[pos++]) << (8 * i);
-        return v;
-    }
-
-    std::int64_t
-    i64()
-    {
-        if (pos + 8 > bytes.size()) {
-            ok = false;
-            return 0;
-        }
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(bytes[pos++]) << (8 * i);
-        return static_cast<std::int64_t>(v);
-    }
-};
-
-constexpr std::uint32_t kOperandMagic = 0x31504f42u; // "BOP1"
-
-double
-meanStoredBitsOf(const CompressedRowPlanes &p)
-{
-    return p.meanStoredBits();
 }
 
 } // namespace
@@ -126,34 +52,9 @@ PackedOperand::packDense(std::span<const std::int8_t> values,
 PackedOperand
 PackedOperand::packCompressed(const Int8Tensor &m, const PackOptions &opts)
 {
-    return fromCompressedTensor(CompressedTensor::compress(
-        m, opts.groupSize, opts.targetColumns, opts.strategy));
-}
-
-PackedOperand
-PackedOperand::fromCompressedTensor(CompressedTensor ct)
-{
-    PackedOperand op;
-    op.kind_ = PackKind::CompressedRows;
-    op.tensor_ =
-        std::make_shared<const CompressedTensor>(std::move(ct));
-    op.rows_ = std::make_shared<const CompressedRowPlanes>(
-        CompressedRowPlanes::prepare(*op.tensor_));
-    op.meanStoredBits_ = meanStoredBitsOf(*op.rows_);
-    return op;
-}
-
-PackedOperand
-PackedOperand::fromRowGroups(std::span<const CompressedGroup> groups,
-                             std::span<const std::int64_t> rowOffsets,
-                             std::int64_t cols, std::int64_t groupSize)
-{
-    PackedOperand op;
-    op.kind_ = PackKind::CompressedRows;
-    op.rows_ = std::make_shared<const CompressedRowPlanes>(
-        CompressedRowPlanes::prepare(groups, rowOffsets, cols, groupSize));
-    op.meanStoredBits_ = meanStoredBitsOf(*op.rows_);
-    return op;
+    return fromPrepared(std::make_shared<const CompressedRowPlanes>(
+        CompressedRowPlanes::compress(m, opts.groupSize, opts.targetColumns,
+                                      opts.strategy)));
 }
 
 PackedOperand
@@ -164,7 +65,7 @@ PackedOperand::fromPrepared(
     PackedOperand op;
     op.kind_ = PackKind::CompressedRows;
     op.rows_ = std::move(planes);
-    op.meanStoredBits_ = meanStoredBitsOf(*op.rows_);
+    op.meanStoredBits_ = op.rows_->meanStoredBits();
     return op;
 }
 
@@ -213,7 +114,7 @@ PackedOperand::viewCompressed(const CompressedRowPlanes &p)
     PackedOperand op;
     op.kind_ = PackKind::CompressedRows;
     op.rows_ = nonOwning(p);
-    op.meanStoredBits_ = meanStoredBitsOf(p);
+    op.meanStoredBits_ = p.meanStoredBits();
     return op;
 }
 
@@ -254,147 +155,7 @@ PackedOperand::unpack() const
 {
     if (kind_ == PackKind::DenseBitPlanes)
         return dense().unpack();
-    if (tensor_)
-        return tensor_->decompress();
     return compressedRows().decompress();
-}
-
-std::vector<std::uint8_t>
-PackedOperand::serialize() const
-{
-    BBS_REQUIRE(!empty(), "nothing to serialize");
-    std::vector<std::uint8_t> out;
-    putU32(out, kOperandMagic);
-    out.push_back(static_cast<std::uint8_t>(kind_));
-
-    if (kind_ == PackKind::DenseBitPlanes) {
-        Int8Tensor values = dense().unpack();
-        out.push_back(0); // strategy slot (unused for dense)
-        out.push_back(0); // targetColumns slot
-        putI64(out, dense().rows());
-        putI64(out, dense().cols());
-        putI64(out, 0); // groupSize slot
-        putU32(out, 0); // no offset table
-        std::size_t base = out.size();
-        out.resize(base + static_cast<std::size_t>(values.numel()));
-        std::memcpy(out.data() + base, values.data().data(),
-                    static_cast<std::size_t>(values.numel()));
-        return out;
-    }
-
-    BBS_REQUIRE(tensor_ != nullptr,
-                "only operands packed from a tensor carry the descriptor "
-                "needed to serialize (pack/packCompressed/"
-                "fromCompressedTensor); this one wraps prepared row "
-                "planes only");
-    const CompressedTensor &ct = *tensor_;
-    BBS_REQUIRE(ct.shape().rank() == 2,
-                "operand serialization expects a rank-2 weight tensor");
-    out.push_back(static_cast<std::uint8_t>(ct.strategy()));
-    out.push_back(static_cast<std::uint8_t>(ct.targetColumns()));
-    putI64(out, ct.shape().dim(0));
-    putI64(out, ct.shape().dim(1));
-    putI64(out, ct.groupSize());
-    SerializedTensor blob = serializeCompressed(ct);
-    putU32(out, static_cast<std::uint32_t>(blob.groupOffsets.size()));
-    for (std::uint32_t off : blob.groupOffsets)
-        putU32(out, off);
-    out.insert(out.end(), blob.bytes.begin(), blob.bytes.end());
-    return out;
-}
-
-bool
-PackedOperand::tryDeserialize(std::span<const std::uint8_t> bytes,
-                              PackedOperand &out, std::string *error)
-{
-    auto fail = [error](auto &&...parts) {
-        if (error != nullptr)
-            *error = bbs::detail::concatMessage(
-                std::forward<decltype(parts)>(parts)...);
-        return false;
-    };
-
-    TryByteReader r{bytes};
-    std::uint32_t magic = r.u32();
-    if (!r.ok)
-        return fail("operand blob truncated");
-    if (magic != kOperandMagic)
-        return fail("not a PackedOperand blob (bad magic)");
-    auto kind = static_cast<PackKind>(r.u8());
-    auto strategy = static_cast<PruneStrategy>(r.u8());
-    int targetColumns = static_cast<int>(r.u8());
-    std::int64_t rows = r.i64();
-    std::int64_t cols = r.i64();
-    std::int64_t groupSize = r.i64();
-    std::uint32_t numOffsets = r.u32();
-    if (!r.ok)
-        return fail("operand blob truncated");
-
-    if (rows <= 0 || cols <= 0)
-        return fail("corrupt operand blob: non-positive shape");
-
-    if (kind == PackKind::DenseBitPlanes) {
-        if (numOffsets != 0)
-            return fail("corrupt dense operand blob");
-        // Bounds-check via division: the blob is untrusted, and rows *
-        // cols could sign-overflow before a naive size comparison.
-        std::size_t avail = bytes.size() - r.pos;
-        if (static_cast<std::uint64_t>(rows) >
-            avail / static_cast<std::uint64_t>(cols))
-            return fail("operand blob truncated");
-        std::size_t count = static_cast<std::size_t>(rows) *
-                            static_cast<std::size_t>(cols);
-        out = packDense(
-            std::span<const std::int8_t>(
-                reinterpret_cast<const std::int8_t *>(bytes.data()) +
-                    r.pos,
-                count),
-            rows, cols);
-        return true;
-    }
-
-    if (kind != PackKind::CompressedRows)
-        return fail("unknown operand kind in blob");
-    if (groupSize < 1 || groupSize > 64)
-        return fail("corrupt operand blob: bad group size");
-    if (targetColumns > kMaxPrunedColumns)
-        return fail("corrupt operand blob: bad target columns");
-    if (cols % groupSize != 0)
-        return fail("corrupt operand blob: group size does not divide "
-                    "the column count");
-    // The offset table's size is fully determined by the shape; a
-    // mismatched count is corruption, and bounding it here also keeps
-    // the reserve() below away from attacker-controlled sizes.
-    if (static_cast<std::int64_t>(numOffsets) !=
-        rows * (cols / groupSize))
-        return fail("corrupt operand blob: offset table count mismatch");
-    if (static_cast<std::uint64_t>(numOffsets) >
-        (bytes.size() - r.pos) / 4)
-        return fail("operand blob truncated");
-    SerializedTensor blob;
-    blob.groupOffsets.reserve(numOffsets);
-    for (std::uint32_t i = 0; i < numOffsets; ++i)
-        blob.groupOffsets.push_back(r.u32());
-    blob.bytes.assign(bytes.begin() + static_cast<std::ptrdiff_t>(r.pos),
-                      bytes.end());
-    CompressedTensor ct;
-    std::string innerError;
-    if (!tryDeserializeCompressed(blob, Shape{rows, cols}, groupSize,
-                                  targetColumns, strategy, ct,
-                                  error != nullptr ? &innerError : nullptr))
-        return fail(innerError);
-    out = fromCompressedTensor(std::move(ct));
-    return true;
-}
-
-PackedOperand
-PackedOperand::deserialize(std::span<const std::uint8_t> bytes)
-{
-    PackedOperand out;
-    std::string error;
-    if (!tryDeserialize(bytes, out, &error))
-        BBS_FATAL(error);
-    return out;
 }
 
 } // namespace bbs::engine

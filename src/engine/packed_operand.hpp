@@ -4,19 +4,18 @@
  * bit-serial engine", subsuming the packing-type zoo behind
  * `Session::pack()`.
  *
- * Internally an operand is one of:
+ * An operand holds exactly one payload:
  *  - **DenseBitPlanes**: a BitSerialMatrix (whole matrix packed into
  *    [bit][row][col-word] uint64 planes) — activations, or weights for
  *    the dense tiled kernel;
  *  - **CompressedRows**: CompressedRowPlanes (BBS-compressed weight rows:
  *    surviving-column planes + pruned-column shift + BBS constant per
- *    group), optionally backed by the CompressedTensor it was prepared
- *    from (which carries the serialization metadata).
+ *    group), the operand's only weight copy.
  *
  * Operands are cheap to copy (shared immutable payloads) and safe to
- * share across threads. `serialize()`/`deserialize()` round-trip an
- * operand through bytes bit-exactly: a plan run on the reloaded operand
- * produces identical outputs (tests/test_engine.cpp pins this).
+ * share across threads. Their on-disk form is the BBMS container
+ * (store::writeOperandContainer / store::mapOperand), whose payload is
+ * this in-memory layout.
  */
 #ifndef BBS_ENGINE_PACKED_OPERAND_HPP
 #define BBS_ENGINE_PACKED_OPERAND_HPP
@@ -24,10 +23,8 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
-#include <vector>
 
-#include "core/compressed_tensor.hpp"
+#include "core/group_compressor.hpp"
 #include "gemm/bit_serial_matrix.hpp"
 #include "gemm/compressed_gemm.hpp"
 
@@ -61,19 +58,9 @@ class PackedOperand
     static PackedOperand packDense(std::span<const std::int8_t> values,
                                    std::int64_t rows, std::int64_t cols);
 
-    /** BBS-compress then prepare row planes (weights path). */
+    /** BBS-compress row by row into row planes (weights path). */
     static PackedOperand packCompressed(const Int8Tensor &m,
                                         const PackOptions &opts);
-
-    /** Wrap an existing whole-tensor compression. */
-    static PackedOperand fromCompressedTensor(CompressedTensor ct);
-
-    /** Prepare from flat row-major groups with row offsets (the layout
-     *  Int8LinearLayer stores). */
-    static PackedOperand
-    fromRowGroups(std::span<const CompressedGroup> groups,
-                  std::span<const std::int64_t> rowOffsets,
-                  std::int64_t cols, std::int64_t groupSize);
 
     /** Share an already-prepared row-plane packing (no copy). */
     static PackedOperand
@@ -126,32 +113,9 @@ class PackedOperand
     /** The compressed row planes; requires kind() == CompressedRows. */
     const CompressedRowPlanes &compressedRows() const;
 
-    /** Reconstruct the INT8 matrix (exact for either representation). */
+    /** Reconstruct the INT8 matrix [rows, cols] (exact for either
+     *  representation). */
     Int8Tensor unpack() const;
-
-    /**
-     * Self-describing byte image. Dense operands store raw INT8 values;
-     * compressed operands store the BitVert DRAM layout
-     * (core/serialization.hpp) plus the descriptor fields that layout
-     * keeps external. Requires a compressed operand to be backed by its
-     * CompressedTensor (pack/packCompressed/fromCompressedTensor paths).
-     */
-    std::vector<std::uint8_t> serialize() const;
-
-    /** Inverse of serialize(); repacks, so plan runs are bit-identical.
-     *  A malformed blob is fatal (deployment error). */
-    static PackedOperand deserialize(std::span<const std::uint8_t> bytes);
-
-    /**
-     * Non-fatal deserialize(): the same validation chain, but a
-     * malformed blob returns false (with a diagnostic in @p error when
-     * non-null) instead of terminating the process. For callers where a
-     * bad blob is an expected runtime condition — a server rejecting a
-     * corrupt model upload, fault-injection harnesses.
-     */
-    static bool tryDeserialize(std::span<const std::uint8_t> bytes,
-                               PackedOperand &out,
-                               std::string *error = nullptr);
 
   private:
     PackKind kind_ = PackKind::DenseBitPlanes;
@@ -159,9 +123,6 @@ class PackedOperand
     double meanStoredBits_ = 8.0;
     std::shared_ptr<const BitSerialMatrix> dense_;
     std::shared_ptr<const CompressedRowPlanes> rows_;
-    /** Set when the operand was built from a whole-tensor compression
-     *  (serialization + unpack metadata). */
-    std::shared_ptr<const CompressedTensor> tensor_;
 };
 
 } // namespace bbs::engine

@@ -49,13 +49,6 @@ Session::pack(const Int8Tensor &m, const PackOptions &opts) const
     return PackedOperand::packCompressed(m, opts);
 }
 
-PackedOperand
-Session::pack(CompressedTensor ct) const
-{
-    ScopedEngineConfig scope(config_);
-    return PackedOperand::fromCompressedTensor(std::move(ct));
-}
-
 MatmulPlan
 Session::plan(PackedOperand weights, ShapeHints hints,
               PlanOptions opts) const

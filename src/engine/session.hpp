@@ -85,9 +85,6 @@ class Session
     /** BBS-compress and pack a weight matrix at an operating point. */
     PackedOperand pack(const Int8Tensor &m, const PackOptions &opts) const;
 
-    /** Wrap an existing whole-tensor compression. */
-    PackedOperand pack(CompressedTensor ct) const;
-
     /**
      * Create an execution plan for @p weights. Resolves the dense repack
      * up front when the tiled kernel is in play, and pre-reserves the

@@ -12,23 +12,58 @@
 namespace bbs {
 
 CompressedRowPlanes
+CompressedRowPlanes::allocate(std::int64_t rows, std::int64_t cols,
+                              std::int64_t groupSize)
+{
+    BBS_REQUIRE(groupSize >= 1 && groupSize <= 64,
+                "group size must be 1..64, got ", groupSize);
+    CompressedRowPlanes out;
+    out.rows_ = rows;
+    out.cols_ = cols;
+    out.groupSize_ = groupSize;
+    out.groupsPerRow_ = (cols + groupSize - 1) / groupSize;
+    std::size_t total = static_cast<std::size_t>(rows * out.groupsPerRow_);
+    out.packed_.resize(total);
+    out.shifts_.resize(total);
+    out.constants_.resize(total);
+    return out;
+}
+
+void
+CompressedRowPlanes::setGroup(std::size_t idx, const CompressedGroup &cg)
+{
+    packed_[idx] = packGroup(cg.stored, cg.storedBits);
+    shifts_[idx] = static_cast<std::int8_t>(cg.prunedColumns);
+    constants_[idx] = cg.meta.constant;
+}
+
+CompressedRowPlanes
+CompressedRowPlanes::compress(const Int8Tensor &codes,
+                              std::int64_t groupSize, int targetColumns,
+                              PruneStrategy strategy)
+{
+    CompressedRowPlanes out = allocate(
+        codes.shape().dim(0), codes.shape().channelSize(), groupSize);
+    parallelFor(out.rows_ * out.groupsPerRow_, [&](std::int64_t idx) {
+        std::int64_t o = idx / out.groupsPerRow_;
+        std::int64_t g = idx % out.groupsPerRow_;
+        std::span<const std::int8_t> group = codes.channel(o).subspan(
+            static_cast<std::size_t>(out.groupBegin(g)),
+            static_cast<std::size_t>(out.groupMembers(g)));
+        out.setGroup(static_cast<std::size_t>(idx),
+                     compressGroup(group, targetColumns, strategy));
+    });
+    return out;
+}
+
+CompressedRowPlanes
 CompressedRowPlanes::prepare(std::span<const CompressedGroup> groups,
                              std::span<const std::int64_t> rowOffsets,
                              std::int64_t cols, std::int64_t groupSize)
 {
     BBS_REQUIRE(!rowOffsets.empty(), "rowOffsets must have rows+1 entries");
-    BBS_REQUIRE(groupSize >= 1 && groupSize <= 64,
-                "group size must be 1..64, got ", groupSize);
-    CompressedRowPlanes out;
-    out.rows_ = static_cast<std::int64_t>(rowOffsets.size()) - 1;
-    out.cols_ = cols;
-    out.groupSize_ = groupSize;
-    out.groupsPerRow_ = (cols + groupSize - 1) / groupSize;
-    std::size_t total = static_cast<std::size_t>(out.rows_ *
-                                                 out.groupsPerRow_);
-    out.packed_.resize(total);
-    out.shifts_.resize(total);
-    out.constants_.resize(total);
+    CompressedRowPlanes out = allocate(
+        static_cast<std::int64_t>(rowOffsets.size()) - 1, cols, groupSize);
     for (std::int64_t o = 0; o < out.rows_; ++o) {
         std::int64_t begin = rowOffsets[static_cast<std::size_t>(o)];
         std::int64_t end = rowOffsets[static_cast<std::size_t>(o) + 1];
@@ -42,12 +77,8 @@ CompressedRowPlanes::prepare(std::span<const CompressedGroup> groups,
                         "row ", o, " group ", g, " holds ",
                         cg.stored.size(), " weights, expected ",
                         out.groupMembers(g));
-            std::size_t idx =
-                static_cast<std::size_t>(o * out.groupsPerRow_ + g);
-            out.packed_[idx] = packGroup(cg.stored, cg.storedBits);
-            out.shifts_[idx] =
-                static_cast<std::int8_t>(cg.prunedColumns);
-            out.constants_[idx] = cg.meta.constant;
+            out.setGroup(static_cast<std::size_t>(o * out.groupsPerRow_ + g),
+                         cg);
         }
     }
     return out;

@@ -58,10 +58,23 @@ class CompressedRowPlanes
     CompressedRowPlanes() = default;
 
     /**
-     * Prepare from flat row-major groups with row offsets (the layout
-     * Int8LinearLayer stores): row o's groups are
-     * groups[rowOffsets[o] .. rowOffsets[o+1]). Each row's group sizes
-     * must tile [0, cols) with @p groupSize (short tail allowed).
+     * BBS-compress @p codes row by row (row o = output channel o, dim 0)
+     * straight into planes: groups of @p groupSize never span two rows,
+     * and a row's last group may be short. Groups compress in parallel;
+     * the planes are word-identical to prepare() over per-row
+     * compressGroup() results, and to prepare(CompressedTensor) whenever
+     * the group size divides the row width.
+     */
+    static CompressedRowPlanes compress(const Int8Tensor &codes,
+                                        std::int64_t groupSize,
+                                        int targetColumns,
+                                        PruneStrategy strategy);
+
+    /**
+     * Prepare from flat row-major groups with row offsets: row o's
+     * groups are groups[rowOffsets[o] .. rowOffsets[o+1]). Each row's
+     * group sizes must tile [0, cols) with @p groupSize (short tail
+     * allowed).
      */
     static CompressedRowPlanes
     prepare(std::span<const CompressedGroup> groups,
@@ -175,6 +188,13 @@ class CompressedRowPlanes
     Int8Tensor decompress() const;
 
   private:
+    /** Owned planes of @p rows x @p cols with the three arrays sized. */
+    static CompressedRowPlanes allocate(std::int64_t rows, std::int64_t cols,
+                                        std::int64_t groupSize);
+
+    /** Pack @p cg's stored columns, shift and constant at @p idx. */
+    void setGroup(std::size_t idx, const CompressedGroup &cg);
+
     const PackedGroup *
     packedBase() const
     {

@@ -87,35 +87,9 @@ Int8Network::fromNetwork(Network &net, std::int64_t groupSize,
         QuantizedTensor q = quantizePerChannel(*w, 8);
         layer.inFeatures = q.values.shape().dim(1);
         layer.groupSize = groupSize;
-        std::int64_t channels = q.values.shape().dim(0);
-        std::int64_t groupsPerRow =
-            (layer.inFeatures + groupSize - 1) / groupSize;
-        // The CompressedGroup forms are staging only: once prepared into
-        // row planes (which cache the same packed columns, shifts and
-        // constants), the layer keeps a single weight copy.
-        std::vector<CompressedGroup> groups;
-        std::vector<std::int64_t> rowOffsets;
-        groups.reserve(static_cast<std::size_t>(channels * groupsPerRow));
-        rowOffsets.reserve(static_cast<std::size_t>(channels) + 1);
-        rowOffsets.push_back(0);
-        for (std::int64_t k = 0; k < channels; ++k) {
-            auto row = q.values.channel(k);
-            for (std::size_t begin = 0; begin < row.size();
-                 begin += static_cast<std::size_t>(groupSize)) {
-                std::size_t len = std::min<std::size_t>(
-                    static_cast<std::size_t>(groupSize),
-                    row.size() - begin);
-                groups.push_back(compressGroup(
-                    std::span<const std::int8_t>(row.data() + begin,
-                                                 len),
-                    targetColumns, strategy));
-            }
-            rowOffsets.push_back(
-                static_cast<std::int64_t>(groups.size()));
-        }
         layer.planes = std::make_shared<const CompressedRowPlanes>(
-            CompressedRowPlanes::prepare(groups, rowOffsets,
-                                         layer.inFeatures, groupSize));
+            CompressedRowPlanes::compress(q.values, groupSize,
+                                          targetColumns, strategy));
         // The layer's plan: shared prepacked rows behind a default-
         // Session plan; Auto resolves per-dot vs batched per call.
         layer.plan = engine::defaultSession().plan(

@@ -1,6 +1,6 @@
 /**
  * @file
- * BBMS — the page-aligned, mmap-backed model container ("BOP2"): a
+ * BBMS — the page-aligned, mmap-backed model container: a
  * fixed 64-byte header, a directory of typed (kind, index, offset,
  * length) extents, and page-aligned payload sections whose byte layout
  * matches the in-memory cache-line-aligned packings EXACTLY —
@@ -14,11 +14,13 @@
  * mapping the same container share ONE set of physical pages
  * (MAP_SHARED read-only file pages; bench/micro_store.cpp pins the
  * sharing via /proc/self/smaps Pss accounting and gates the load
- * speedup against PackedOperand::deserialize).
+ * speedup against packing the same layers from their INT8 codes).
+ * BBMS is the one on-disk format for engine operands; the paper's
+ * column-serial DRAM layout (core/serialization.hpp) stays the
+ * accelerator model's view of a weight stream.
  *
- * `MappedContainer::tryOpen` carries the same contract as
- * `PackedOperand::tryDeserialize`: the container is UNTRUSTED INPUT,
- * and every malformed shape — truncated directory, overlapping or
+ * `MappedContainer::tryOpen` is non-fatal: the container is UNTRUSTED
+ * INPUT, and every malformed shape — truncated directory, overlapping or
  * out-of-bounds extents, misaligned offsets, bad magic/version,
  * hostile PackedGroup fields (bits > 8 would index past the 8-plane
  * array inside the SIMD dot kernels; shifts outside 0..8 would be
@@ -28,11 +30,11 @@
  * group descriptor fields; it never touches the dense plane words, so
  * open cost stays page-fault-bound, not size-bound.
  *
- * The writer (`writeModelContainer` / `writeOperandContainer`, surfaced
- * as `bbs_cli store-pack`) converts in-memory networks or BOP1 operand
- * images into containers. A container holds either one Int8Network
- * (layer sections referencing operand sections) or a bare list of
- * operands (layerCount == 0).
+ * The writers (`writeModelContainer` / `writeOperandContainer`; the
+ * first is surfaced as `bbs_cli store-pack`) write in-memory networks
+ * or packed operands into containers. A container holds either one
+ * Int8Network (layer sections referencing operand sections) or a bare
+ * list of operands (layerCount == 0).
  */
 #ifndef BBS_STORE_CONTAINER_HPP
 #define BBS_STORE_CONTAINER_HPP
@@ -158,7 +160,7 @@ class MappedContainer
     /**
      * Open + validate + map @p path. Returns false (with a diagnostic
      * in @p error when non-null) on any I/O failure or malformed
-     * container — same non-fatal contract as tryDeserialize. On
+     * container, without terminating the process. On
      * success @p out owns the mapping and all sections are validated:
      * every accessor below is then safe.
      */

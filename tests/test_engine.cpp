@@ -3,8 +3,8 @@
  * Tests for the engine facade (engine/engine.hpp): EngineConfig's single
  * env parse path, plan-kind selection boundaries (batch 1 vs 2 vs 64,
  * all-pruned groups, uncompressed-in-effect operands), bit-identity of
- * every plan kind against the references, PackedOperand
- * serialize -> reload -> plan.run golden cases, and Session config
+ * every plan kind against the references, PackedOperand's compressed
+ * planes pinned to the whole-tensor compressor's, and Session config
  * scoping (thread cap + SIMD level applied per call, restored after).
  */
 #include <gtest/gtest.h>
@@ -174,8 +174,6 @@ TEST(PlanExecutionTest, AllKindsBitIdenticalAcrossShapes)
     Session s;
     const std::int64_t shapes[][4] = {
         // {N, K, C, groupSize} — C multiples and non-multiples of 64
-        // (whole-tensor packing needs groupSize | C, so ragged column
-        // counts pair with a divisor group size)
         {1, 3, 32, 32}, {2, 5, 96, 32}, {7, 4, 70, 35},
         {64, 6, 128, 32}, {3, 2, 33, 11},
     };
@@ -276,150 +274,30 @@ TEST(PlanExecutionTest, PackedActivationsAtBatchOneFallBack)
         ASSERT_EQ(got.flat(i), ref.flat(i)) << "i=" << i;
 }
 
-// --------------------------------------------- serialize/reload identity
+// ------------------------------------------------------- packed planes
 
-TEST(PackedOperandTest, SerializeReloadRunBitIdentity)
+/** Field-by-field plane equality (PackedGroup has padding bytes). */
+void
+expectSamePlanes(const CompressedRowPlanes &got,
+                 const CompressedRowPlanes &want, const std::string &what)
 {
-    // The golden contract: an operand round-tripped through bytes must
-    // produce bit-identical plan outputs, for both representations and
-    // across operating points (including all-pruned groups).
-    Rng rng(55);
-    Session s;
-    for (int target : {0, 3, 6}) {
-        Int8Tensor w = randomMatrix(6, 96, rng);
-        Int8Tensor acts = randomMatrix(9, 96, rng);
-        PackedOperand original = s.pack(
-            w, PackOptions{32, target, PruneStrategy::ZeroPointShifting});
-        std::vector<std::uint8_t> bytes = original.serialize();
-        PackedOperand reloaded = PackedOperand::deserialize(bytes);
-        EXPECT_EQ(reloaded.kind(), PackKind::CompressedRows);
-        EXPECT_EQ(reloaded.rows(), original.rows());
-        EXPECT_EQ(reloaded.cols(), original.cols());
-        EXPECT_DOUBLE_EQ(reloaded.meanStoredBits(),
-                         original.meanStoredBits());
-
-        Int32Tensor before = s.plan(original).run(acts);
-        Int32Tensor after = s.plan(reloaded).run(acts);
-        for (std::int64_t i = 0; i < before.numel(); ++i)
-            ASSERT_EQ(before.flat(i), after.flat(i))
-                << "target=" << target << " i=" << i;
-
-        // The byte image itself is deterministic for identical packs.
-        EXPECT_EQ(original.serialize(), bytes);
+    ASSERT_EQ(got.rows(), want.rows()) << what;
+    ASSERT_EQ(got.cols(), want.cols()) << what;
+    ASSERT_EQ(got.groupSize(), want.groupSize()) << what;
+    ASSERT_EQ(got.groupsPerRow(), want.groupsPerRow()) << what;
+    for (std::size_t i = 0; i < want.packedGroups().size(); ++i) {
+        const PackedGroup &a = got.packedGroups()[i];
+        const PackedGroup &b = want.packedGroups()[i];
+        ASSERT_EQ(a.planes, b.planes) << what << " group " << i;
+        ASSERT_EQ(a.bits, b.bits) << what << " group " << i;
+        ASSERT_EQ(a.size, b.size) << what << " group " << i;
+        ASSERT_EQ(got.shifts()[i], want.shifts()[i]) << what << " " << i;
+        ASSERT_EQ(got.constants()[i], want.constants()[i])
+            << what << " group " << i;
     }
-
-    // Dense operands round-trip through raw values.
-    Int8Tensor dw = randomMatrix(4, 70, rng);
-    Int8Tensor dacts = randomMatrix(3, 70, rng);
-    PackedOperand dense = s.pack(dw);
-    PackedOperand reloaded =
-        PackedOperand::deserialize(dense.serialize());
-    EXPECT_EQ(reloaded.kind(), PackKind::DenseBitPlanes);
-    Int32Tensor before = s.plan(dense).run(dacts);
-    Int32Tensor after = s.plan(reloaded).run(dacts);
-    for (std::int64_t i = 0; i < before.numel(); ++i)
-        ASSERT_EQ(before.flat(i), after.flat(i)) << "i=" << i;
 }
 
-TEST(PackedOperandTest, DeserializeRejectsCorruptBlobs)
-{
-    // The blob is untrusted input (it is the deployment wire format):
-    // every validation path must fail loudly, never allocate from
-    // attacker-controlled sizes. BBS_REQUIRE exits with code 1.
-    Rng rng(123);
-    Session s;
-    Int8Tensor w = randomMatrix(4, 64, rng);
-    std::vector<std::uint8_t> good =
-        s.pack(w, PackOptions{32, 3, PruneStrategy::ZeroPointShifting})
-            .serialize();
-
-    auto expectRejected = [](std::vector<std::uint8_t> blob,
-                             const char *what) {
-        EXPECT_EXIT(PackedOperand::deserialize(blob),
-                    ::testing::ExitedWithCode(1), "") << what;
-    };
-
-    // Bad magic.
-    {
-        std::vector<std::uint8_t> bad = good;
-        bad[0] ^= 0xff;
-        expectRejected(bad, "magic");
-    }
-    // Unknown kind.
-    {
-        std::vector<std::uint8_t> bad = good;
-        bad[4] = 0x7f;
-        expectRejected(bad, "kind");
-    }
-    // Truncated mid-header and mid-payload.
-    expectRejected({good.begin(), good.begin() + 6}, "header cut");
-    expectRejected({good.begin(), good.end() - 3}, "payload cut");
-
-    // Dense blob with an overflowing rows*cols: the division-based
-    // bound must reject it instead of wrapping and allocating.
-    {
-        std::vector<std::uint8_t> dense =
-            s.pack(randomMatrix(2, 8, rng)).serialize();
-        // rows field lives at offset 7 (magic 4 + kind/strategy/target);
-        // overwrite with 2^62.
-        for (int i = 0; i < 8; ++i)
-            dense[7 + static_cast<std::size_t>(i)] = 0;
-        dense[7 + 7] = 0x40;
-        expectRejected(dense, "rows overflow");
-    }
-    // Compressed blob with an absurd offset-table count.
-    {
-        std::vector<std::uint8_t> bad = good;
-        std::size_t offsetCountAt = 4 + 1 + 1 + 1 + 8 + 8 + 8;
-        for (int i = 0; i < 4; ++i)
-            bad.at(offsetCountAt + static_cast<std::size_t>(i)) = 0xff;
-        expectRejected(bad, "offset table");
-    }
-
-    // The original still loads after all that slicing around.
-    PackedOperand ok = PackedOperand::deserialize(good);
-    EXPECT_EQ(ok.rows(), 4);
-    EXPECT_EQ(ok.cols(), 64);
-}
-
-TEST(PackedOperandTest, TryDeserializeReportsInsteadOfExiting)
-{
-    // The non-fatal entry point (fault injection, servers that must
-    // survive a bad blob): same validation as deserialize(), but the
-    // outcome is a bool + message and the process keeps running.
-    Rng rng(123);
-    Session s;
-    PackedOperand original =
-        s.pack(randomMatrix(4, 64, rng),
-               PackOptions{32, 3, PruneStrategy::ZeroPointShifting});
-    std::vector<std::uint8_t> good = original.serialize();
-
-    PackedOperand out;
-    std::string error;
-
-    std::vector<std::uint8_t> badMagic = good;
-    badMagic[0] ^= 0xff;
-    EXPECT_FALSE(PackedOperand::tryDeserialize(badMagic, out, &error));
-    EXPECT_NE(error.find("magic"), std::string::npos) << error;
-
-    error.clear();
-    EXPECT_FALSE(PackedOperand::tryDeserialize(
-        std::span<const std::uint8_t>(good.data(), 9), out, &error));
-    EXPECT_NE(error.find("truncated"), std::string::npos) << error;
-
-    // nullptr error is allowed (caller only wants the verdict).
-    EXPECT_FALSE(PackedOperand::tryDeserialize(badMagic, out, nullptr));
-
-    // The intact blob loads and reconstructs the original operand's
-    // own (lossy-compression) reconstruction bit-exactly.
-    ASSERT_TRUE(PackedOperand::tryDeserialize(good, out, &error)) << error;
-    Int8Tensor round = out.unpack(), ref = original.unpack();
-    ASSERT_EQ(round.numel(), ref.numel());
-    for (std::int64_t i = 0; i < ref.numel(); ++i)
-        ASSERT_EQ(round.flat(i), ref.flat(i)) << "i=" << i;
-}
-
-TEST(PackedOperandTest, UnpackIsExact)
+TEST(PackedOperandTest, PlanesPinnedAndUnpackExact)
 {
     Rng rng(66);
     Session s;
@@ -428,15 +306,46 @@ TEST(PackedOperandTest, UnpackIsExact)
     for (std::int64_t i = 0; i < m.numel(); ++i)
         ASSERT_EQ(back.flat(i), m.flat(i));
 
-    // Compressed unpack equals the compressor's own reconstruction
-    // (whole-tensor packing needs groupSize | cols).
-    Int8Tensor m2 = randomMatrix(5, 128, rng);
-    CompressedTensor ct = CompressedTensor::compress(
-        m2, 32, 4, PruneStrategy::RoundedAveraging);
-    Int8Tensor viaOperand = s.pack(ct).unpack();
-    Int8Tensor direct = ct.decompress();
-    for (std::int64_t i = 0; i < direct.numel(); ++i)
-        ASSERT_EQ(viaOperand.flat(i), direct.flat(i));
+    // Row-wise compression yields the same plane words as preparing the
+    // whole-tensor compressor's output, wherever that path applies
+    // (group size dividing the width), and unpack() reconstructs it.
+    // 96 groups: more than one parallelFor chunk.
+    for (PruneStrategy strategy :
+         {PruneStrategy::RoundedAveraging, PruneStrategy::ZeroPointShifting}) {
+        for (int target : {0, 3, 6}) {
+            Int8Tensor w = randomMatrix(24, 128, rng);
+            PackedOperand packed = s.pack(w, PackOptions{32, target, strategy});
+            CompressedTensor ct =
+                CompressedTensor::compress(w, 32, target, strategy);
+            std::string what = std::string(pruneStrategyName(strategy)) +
+                               " target " + std::to_string(target);
+            expectSamePlanes(packed.compressedRows(),
+                             CompressedRowPlanes::prepare(ct), what);
+            Int8Tensor viaOperand = packed.unpack(), direct = ct.decompress();
+            for (std::int64_t i = 0; i < direct.numel(); ++i)
+                ASSERT_EQ(viaOperand.flat(i), direct.flat(i)) << what;
+        }
+    }
+
+    // A ragged width (70 = 32 + 32 + 6): rows end in a short group, and
+    // every plan kind agrees with the dense oracle on unpack().
+    Int8Tensor w = randomMatrix(6, 70, rng);
+    Int8Tensor acts = randomMatrix(9, 70, rng);
+    PackedOperand packed =
+        s.pack(w, PackOptions{32, 4, PruneStrategy::ZeroPointShifting});
+    ASSERT_EQ(packed.compressedRows().groupsPerRow(), 3);
+    ASSERT_EQ(packed.compressedRows().groupMembers(2), 6);
+    Int32Tensor ref = gemmReferenceBatch(acts, packed.unpack());
+    MatmulPlan plan = s.plan(packed);
+    for (PlanKind kind : {PlanKind::PerDot, PlanKind::CompressedBatched,
+                          PlanKind::TiledBitSerial}) {
+        Int32Tensor got;
+        plan.runAs(kind, acts, got);
+        ASSERT_TRUE(got.shape() == ref.shape());
+        for (std::int64_t i = 0; i < ref.numel(); ++i)
+            ASSERT_EQ(got.flat(i), ref.flat(i))
+                << planKindName(kind) << " i=" << i;
+    }
 }
 
 // -------------------------------------------------------- session config

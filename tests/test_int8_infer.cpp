@@ -11,6 +11,7 @@
 #include "nn/evaluate.hpp"
 #include "engine/engine.hpp"
 #include "nn/int8_infer.hpp"
+#include "quant/quantizer.hpp"
 
 namespace bbs {
 namespace {
@@ -127,6 +128,58 @@ TEST_F(Int8InferTest, GemmForwardBitIdenticalToPerDotReference)
                     << "target=" << target << " rows=" << rows
                     << " i=" << i;
             }
+        }
+    }
+}
+
+TEST_F(Int8InferTest, LayerPlanesMatchPerRowGroupStaging)
+{
+    // Each layer's planes equal per-row compressGroup() staging prepared
+    // into row planes. At group 32 every fixture layer (16, 48 and 24
+    // inputs) ends its rows in a short group.
+    for (PruneStrategy strategy :
+         {PruneStrategy::RoundedAveraging, PruneStrategy::ZeroPointShifting}) {
+        for (int target : {0, 4}) {
+            Int8Network engine =
+                Int8Network::fromNetwork(net_, 32, target, strategy);
+            std::size_t li = 0;
+            for (const auto &layer : net_.layers()) {
+                if (layer->kind() != "dense")
+                    continue;
+                Int8Tensor codes =
+                    quantizePerChannel(*layer->weights(), 8).values;
+                std::vector<CompressedGroup> groups;
+                std::vector<std::int64_t> rowOffsets{0};
+                for (std::int64_t k = 0; k < codes.shape().dim(0); ++k) {
+                    std::span<const std::int8_t> row = codes.channel(k);
+                    for (std::size_t b = 0; b < row.size(); b += 32)
+                        groups.push_back(compressGroup(
+                            row.subspan(b, std::min<std::size_t>(
+                                               32, row.size() - b)),
+                            target, strategy));
+                    rowOffsets.push_back(
+                        static_cast<std::int64_t>(groups.size()));
+                }
+                CompressedRowPlanes want = CompressedRowPlanes::prepare(
+                    groups, rowOffsets, codes.shape().dim(1), 32);
+                const CompressedRowPlanes &got =
+                    *engine.layers()[li++].planes;
+                ASSERT_EQ(got.rows(), want.rows()) << "layer " << li;
+                ASSERT_EQ(got.cols(), want.cols()) << "layer " << li;
+                ASSERT_EQ(got.groupsPerRow(), want.groupsPerRow());
+                for (std::size_t i = 0; i < want.packedGroups().size();
+                     ++i) {
+                    const PackedGroup &a = got.packedGroups()[i];
+                    const PackedGroup &b = want.packedGroups()[i];
+                    ASSERT_EQ(a.planes, b.planes) << "layer " << li;
+                    ASSERT_EQ(a.bits, b.bits) << "layer " << li;
+                    ASSERT_EQ(a.size, b.size) << "layer " << li;
+                    ASSERT_EQ(got.shifts()[i], want.shifts()[i]);
+                    ASSERT_EQ(got.constants()[i], want.constants()[i]);
+                }
+            }
+            ASSERT_EQ(li, engine.layers().size());
+            EXPECT_EQ(engine.layers().back().inFeatures, 24);
         }
     }
 }

@@ -551,7 +551,7 @@ TEST(Serve, FlushTimeExpiryCountsThroughTheQueuePath)
 
     ServerConfig cfg;
     cfg.maxBatch = 64;
-    cfg.maxDelayUs = 20'000;
+    cfg.maxDelayUs = 400'000;
     cfg.workers = 0;
     InferenceServer server(registry, cfg);
     RequestQueue &queue = server.queues().shard(0);
@@ -565,9 +565,11 @@ TEST(Serve, FlushTimeExpiryCountsThroughTheQueuePath)
 
     // This request becomes the next batch's leader; the claimed
     // in-flight request forces the batcher to wait out maxDelayUs, by
-    // which time the 3 ms deadline has long expired — the flush-time
-    // re-check rejects it.
-    auto doomed = server.submit("clf", pool[1], /*deadlineUs=*/3000);
+    // which time the 100 ms deadline has long expired — the flush-time
+    // re-check rejects it. The deadline must outlast any stall before
+    // drainOnce() pops the request: expired at pop, it would leave
+    // drainOnce() waiting for work that never comes.
+    auto doomed = server.submit("clf", pool[1], /*deadlineUs=*/100'000);
     EXPECT_EQ(server.drainOnce(), 1);
     EXPECT_EQ(doomed.get().status, ServeStatus::DeadlineExpired);
 

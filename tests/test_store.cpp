@@ -6,10 +6,10 @@
  *    container and mapped back produces bit-identical plan outputs and
  *    forward passes — the mapped-view PackedOperand path IS the owned
  *    path, byte for byte (the tentpole claim).
- *  - HOSTILE INPUT: a container is untrusted. tryOpen carries the
- *    tryDeserialize contract — every truncation, bounds, alignment,
- *    overlap and payload-field corruption is rejected with a
- *    diagnostic, never UB (CI runs this file under ASan/UBSan).
+ *  - HOSTILE INPUT: a container is untrusted. tryOpen rejects every
+ *    truncation, bounds, alignment, overlap and payload-field
+ *    corruption with a diagnostic and without exiting, never UB (CI
+ *    runs this file under ASan/UBSan).
  *  - HOT-SWAP + LRU: registry swaps are versioned and atomic under
  *    concurrent lookups; the store's LRU eviction respects the budget
  *    and never evicts a pinned (refcounted) model.
