@@ -27,12 +27,14 @@
  *
  * A third section compares the SIMD dispatch levels on the GEMM-side
  * kernels (src/simd/): the 2x1x2 AND+popcount tile, the plain
- * AND+popcount stream, and the compressed-group dot are timed at the
- * active level vs the BBS_SIMD=scalar table on identical L1-resident
- * data (gated at bench_common's per-level geomean target), and both
- * whole GEMMs are re-run under scalar dispatch to report the end-to-end
- * effect with bit-identical outputs.
+ * AND+popcount stream, the compressed-group dot and the compressed
+ * GEMM's stage-2 tile are timed at the active level vs the
+ * BBS_SIMD=scalar table on identical L1-resident data (gated at
+ * bench_common's per-level geomean target), and both whole GEMMs are
+ * re-run under scalar dispatch to report the end-to-end effect with
+ * bit-identical outputs.
  */
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -338,6 +340,41 @@ main(int argc, char **argv)
             static_cast<std::size_t>(numGroups * kWeightBits));
         for (auto &w : windows)
             w = rng.next();
+        // The stage-2 tile over the same groups: row 0 the planes above,
+        // row 1 them in reverse order; sample 0 the windows above,
+        // sample 1 fresh ones.
+        std::vector<PackedGroup> tileGroups(
+            static_cast<std::size_t>(2 * numGroups));
+        std::vector<std::int8_t> tileShifts;
+        std::vector<std::int32_t> tileConstants;
+        for (std::int64_t i = 0; i < 2 * numGroups; ++i) {
+            std::int64_t g = i < numGroups ? i : 2 * numGroups - 1 - i;
+            PackedGroup &pg = tileGroups[static_cast<std::size_t>(i)];
+            pg.size = 64;
+            pg.bits = storedBits;
+            std::copy_n(gPlanes.begin() + g * kWeightBits, kWeightBits,
+                        pg.planes.begin());
+            tileShifts.push_back(static_cast<std::int8_t>(
+                rng.uniformInt(0, kWeightBits - storedBits)));
+            tileConstants.push_back(
+                static_cast<std::int32_t>(rng.uniformInt(-8, 8)));
+        }
+        std::vector<std::uint64_t> windows1(windows.size());
+        for (auto &w : windows1)
+            w = rng.next();
+        std::vector<std::int64_t> sums0(static_cast<std::size_t>(numGroups));
+        std::vector<std::int64_t> sums1(sums0.size());
+        scalar.weightedPlaneSumBatch(windows.data(), numGroups,
+                                     sums0.data());
+        scalar.weightedPlaneSumBatch(windows1.data(), numGroups,
+                                     sums1.data());
+        const CompressedRowRef tileRows[2] = {
+            {tileGroups.data(), tileShifts.data(), tileConstants.data()},
+            {tileGroups.data() + numGroups, tileShifts.data() + numGroups,
+             tileConstants.data() + numGroups}};
+        const WindowRowRef tileSamples[2] = {
+            {windows.data(), sums0.data()},
+            {windows1.data(), sums1.data()}};
         // `gated` rows are the stream kernels whose throughput the
         // tentpole targets: they enter the geomean gate. Window/group
         // kernels (one 8-word window per logical op) are horizontal-
@@ -397,6 +434,22 @@ main(int argc, char **argv)
                     return s;
                 },
                 static_cast<double>(numGroups * kWeightBits));
+        if (active.compressedGemmTile != scalar.compressedGemmTile)
+            simdRow(
+                "compressedGemmTile", false,
+                [&] {
+                    std::int64_t out[4];
+                    scalar.compressedGemmTile(tileRows, tileSamples,
+                                              numGroups, out);
+                    return out[0] + out[1] + out[2] + out[3];
+                },
+                [&] {
+                    std::int64_t out[4];
+                    active.compressedGemmTile(tileRows, tileSamples,
+                                              numGroups, out);
+                    return out[0] + out[1] + out[2] + out[3];
+                },
+                static_cast<double>(4 * numGroups * kWeightBits));
         if (active.weightedPlaneSumBatch != scalar.weightedPlaneSumBatch)
             simdRow(
                 "weightedPlaneSumBatch", false,

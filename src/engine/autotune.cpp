@@ -142,8 +142,6 @@ parseRecord(const std::string &rec, TuneEntry &e)
         e.tileRows = static_cast<int>(tile);
     if (findInt(rec, "tileCols", tile))
         e.tileCols = static_cast<int>(tile);
-    if (findInt(rec, "rowTile", tile))
-        e.rowTile = static_cast<int>(tile);
     findNumber(rec, "seconds", e.seconds);
     return true;
 }
@@ -200,7 +198,6 @@ TuningCache::save(const std::string &path) const
            << ", \"depthBlockWords\": " << e.depthBlockWords
            << ", \"tileRows\": " << e.tileRows
            << ", \"tileCols\": " << e.tileCols
-           << ", \"rowTile\": " << e.rowTile
            << ", \"seconds\": " << std::setprecision(9) << e.seconds
            << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
     }
@@ -286,7 +283,6 @@ struct Candidate
     std::int64_t depthBlockWords = 0; ///< 0 = topology default
     int tileRows = 2;
     int tileCols = 2;
-    int rowTile = 2; ///< compressed-GEMM stage-2 rows per tile
 };
 
 /** Depth-block sweep for the tiled kernel: the topology default plus
@@ -331,15 +327,11 @@ autotuneShape(const TuneShape &shape, const AutotuneOptions &opts)
     // dominated by the batched kernels well before batch 32; pruning it
     // there keeps suite time bounded without affecting any winner.
     if (shape.batch <= 32)
-        candidates.push_back({PlanKind::PerDot, 0, 2, 2, 2});
-    // Row-tile sweep for the compressed kernel: 2 is the register-pair
-    // fast path; 1 and 4 trade window reloads against accumulator
-    // pressure and can win at the shape extremes.
-    for (int rt : {1, 2, 4})
-        candidates.push_back({PlanKind::CompressedBatched, 0, 2, 2, rt});
+        candidates.push_back({PlanKind::PerDot, 0, 2, 2});
+    candidates.push_back({PlanKind::CompressedBatched, 0, 2, 2});
     for (std::int64_t db : depthBlockCandidates(shape.depth))
-        candidates.push_back({PlanKind::TiledBitSerial, db, 2, 2, 2});
-    candidates.push_back({PlanKind::TiledBitSerial, 0, 1, 1, 2});
+        candidates.push_back({PlanKind::TiledBitSerial, db, 2, 2});
+    candidates.push_back({PlanKind::TiledBitSerial, 0, 1, 1});
 
     Int32Tensor ref;
     Int32Tensor out;
@@ -358,7 +350,6 @@ autotuneShape(const TuneShape &shape, const AutotuneOptions &opts)
         cfg.tuning.depthBlockWords = c.depthBlockWords;
         cfg.tuning.tileRows = c.tileRows;
         cfg.tuning.tileCols = c.tileCols;
-        cfg.tuning.compressedRowTile = c.rowTile;
         Session s(cfg);
         ShapeHints hints;
         hints.expectedBatch = shape.batch;
@@ -390,7 +381,6 @@ autotuneShape(const TuneShape &shape, const AutotuneOptions &opts)
             entry.depthBlockWords = c.depthBlockWords;
             entry.tileRows = c.tileRows;
             entry.tileCols = c.tileCols;
-            entry.rowTile = c.rowTile;
         }
     }
     return entry;

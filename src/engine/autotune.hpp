@@ -45,7 +45,6 @@ struct TuneEntry
     std::int64_t depthBlockWords = 0; ///< 0 = topology default
     int tileRows = 2;
     int tileCols = 2;
-    int rowTile = 2; ///< compressed-GEMM stage-2 rows per tile
     double seconds = 0.0; ///< winner's best-of-reps time
 };
 

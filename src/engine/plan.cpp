@@ -193,9 +193,6 @@ MatmulPlan::resolveForBatch(std::int64_t batch, bool countTune) const
                     r.tuning.depthBlockWords = e->depthBlockWords;
                 r.tuning.tileRows = e->tileRows;
                 r.tuning.tileCols = e->tileCols;
-            } else if (e->kind == PlanKind::CompressedBatched &&
-                       e->rowTile > 0) {
-                r.tuning.compressedRowTile = e->rowTile;
             }
             return r;
         }
@@ -294,14 +291,13 @@ MatmulPlan::execute(PlanKind kind, const TuningParams &tuning,
                           weights_.compressedRows().groupsPerRow());
         if (packed != nullptr) {
             bbs::detail::gemmCompressedKernel(weights_.compressedRows(),
-                                              *packed, out, arena, tuning);
+                                              *packed, out, arena);
         } else {
             if (scratchReserveRows_ > n)
                 arena.reservePack(scratchReserveRows_, depth);
             BitSerialMatrix::packInto(*raw, arena.actsPack);
             bbs::detail::gemmCompressedKernel(weights_.compressedRows(),
-                                              arena.actsPack, out, arena,
-                                              tuning);
+                                              arena.actsPack, out, arena);
         }
         return;
     }

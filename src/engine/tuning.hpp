@@ -16,8 +16,10 @@
  *    andPopcountTile micro-kernel (four AND+popcount streams sharing
  *    four plane loads); 1x1 runs the plain andPopcountAccumulate stream.
  *    2x2 wins everywhere measured so far, but the choice is now a
- *    sweepable parameter instead of an article of faith. The compressed
- *    kernel's stage-2 row tile (`compressedRowTile`) is swept alongside.
+ *    sweepable parameter instead of an article of faith.
+ *
+ * The compressed kernel has no knob here: its stage 2 always runs the
+ * fixed 2x2 SimdKernels::compressedGemmTile register tile.
  *
  * All parameter combinations are bit-identical by construction (they
  * change traversal order and kernel shape, never arithmetic), so tuning
@@ -40,11 +42,6 @@ struct TuningParams
     int tileRows = 2;
     /** Weight rows per register tile (1 or 2). */
     int tileCols = 2;
-
-    /** Weight rows per compressed-GEMM stage-2 tile (1..8): rows in the
-     *  same tile share every activation-window load. Formerly the
-     *  hard-coded row-pair constant; the autotuner sweeps it now. */
-    int compressedRowTile = 2;
 
     /** depthBlockWords with 0 resolved against the detected cache
      *  topology; always a power of two in [128, 4096]. */

@@ -127,24 +127,6 @@ CompressedRowPlanes::viewExternal(const PackedGroup *packed,
     return out;
 }
 
-namespace {
-
-/**
- * Stored-column contribution of one group to one sample: the whole-group
- * 8-plane weighted window reduction, dispatched (for each stored weight
- * plane b and activation bit plane c, popcount(planes[b] AND aw[c])
- * weighs columnWeight(b, bits) * 2^c, the activation sign plane
- * negative).
- */
-inline std::int64_t
-groupDot(const SimdKernels &simd, const PackedGroup &pg,
-         const std::uint64_t *aw)
-{
-    return simd.compressedGroupDot(pg.planes.data(), pg.bits, aw);
-}
-
-} // namespace
-
 double
 CompressedRowPlanes::meanStoredBits() const
 {
@@ -187,8 +169,7 @@ void
 detail::gemmCompressedKernel(const CompressedRowPlanes &weights,
                              const BitSerialMatrix &activations,
                              Int32Tensor &out,
-                             engine::ScratchArena &scratch,
-                             const engine::TuningParams &tuning)
+                             engine::ScratchArena &scratch)
 {
     BBS_REQUIRE(activations.cols() == weights.cols(),
                 "GEMM depth mismatch: ", activations.cols(), " vs ",
@@ -233,64 +214,34 @@ detail::gemmCompressedKernel(const CompressedRowPlanes &weights,
                                    sums + r * numGroups);
     }, 4);
 
-    // Stage 2: weight-row tiles of `tile` rows, each streaming the whole
-    // grouped batch; rows in a tile share every activation window load.
-    // tile == 2 (the default, and the old hard-coded row-pair shape)
-    // keeps its two accumulators in registers; other widths run the
-    // generic accumulator array. Output rows are written by exactly one
-    // task either way, and the per-row arithmetic is identical for every
-    // width — the tile is a traversal-order knob the autotuner sweeps.
-    std::int64_t tile =
-        std::clamp<std::int64_t>(tuning.compressedRowTile, 1, 8);
-    std::int64_t rowTiles = (k + tile - 1) / tile;
-    parallelFor(rowTiles, [&](std::int64_t t) {
-        std::int64_t o0 = tile * t;
-        std::int64_t oEnd = std::min(o0 + tile, k);
-        if (oEnd - o0 == 2) {
-            std::int64_t o1 = o0 + 1;
-            for (std::int64_t r = 0; r < n; ++r) {
-                const std::uint64_t *aw =
-                    windows + r * numGroups * kWeightBits;
-                const std::int64_t *sumA = sums + r * numGroups;
-                std::int64_t acc0 = 0, acc1 = 0;
-                for (std::int64_t g = 0; g < numGroups;
-                     ++g, aw += kWeightBits) {
-                    acc0 +=
-                        (groupDot(simd, weights.packedGroup(o0, g), aw)
-                         << weights.shift(o0, g)) +
-                        static_cast<std::int64_t>(
-                            weights.constant(o0, g)) *
-                            sumA[g];
-                    acc1 +=
-                        (groupDot(simd, weights.packedGroup(o1, g), aw)
-                         << weights.shift(o1, g)) +
-                        static_cast<std::int64_t>(
-                            weights.constant(o1, g)) *
-                            sumA[g];
-                }
-                out.at(r, o0) = static_cast<std::int32_t>(acc0);
-                out.at(r, o1) = static_cast<std::int32_t>(acc1);
-            }
-            return;
-        }
-        std::int64_t acc[8];
-        for (std::int64_t r = 0; r < n; ++r) {
-            const std::uint64_t *aw =
-                windows + r * numGroups * kWeightBits;
-            const std::int64_t *sumA = sums + r * numGroups;
-            for (std::int64_t j = 0; j < oEnd - o0; ++j)
-                acc[j] = 0;
-            for (std::int64_t g = 0; g < numGroups;
-                 ++g, aw += kWeightBits) {
-                for (std::int64_t o = o0; o < oEnd; ++o)
-                    acc[o - o0] +=
-                        (groupDot(simd, weights.packedGroup(o, g), aw)
-                         << weights.shift(o, g)) +
-                        static_cast<std::int64_t>(weights.constant(o, g)) *
-                            sumA[g];
-            }
-            for (std::int64_t o = o0; o < oEnd; ++o)
-                out.at(r, o) = static_cast<std::int32_t>(acc[o - o0]);
+    // Stage 2: 2x2 register tiles (two weight rows x two samples), one
+    // dispatched call per tile over the whole row of groups. An odd last
+    // weight row or sample is passed twice, and its duplicate outputs
+    // store the same value twice. Each output is written by one task.
+    auto rowRef = [&](std::int64_t o) {
+        std::size_t base = static_cast<std::size_t>(o * numGroups);
+        return CompressedRowRef{weights.packedGroups().data() + base,
+                                weights.shifts().data() + base,
+                                weights.constants().data() + base};
+    };
+    auto windowRef = [&](std::int64_t r) {
+        return WindowRowRef{windows + r * numGroups * kWeightBits,
+                            sums + r * numGroups};
+    };
+    parallelFor((k + 1) / 2, [&](std::int64_t t) {
+        std::int64_t o0 = 2 * t;
+        std::int64_t o1 = std::min(o0 + 1, k - 1);
+        const CompressedRowRef w[2] = {rowRef(o0), rowRef(o1)};
+        for (std::int64_t r0 = 0; r0 < n; r0 += 2) {
+            std::int64_t r1 = std::min(r0 + 1, n - 1);
+            const WindowRowRef a[2] = {windowRef(r0), windowRef(r1)};
+            std::int64_t acc[4];
+            simd.compressedGemmTile(w, a, numGroups, acc);
+            // kMaxGemmDepth keeps every exact sum inside INT32.
+            out.at(r0, o0) = static_cast<std::int32_t>(acc[0]);
+            out.at(r0, o1) = static_cast<std::int32_t>(acc[2]);
+            out.at(r1, o0) = static_cast<std::int32_t>(acc[1]);
+            out.at(r1, o1) = static_cast<std::int32_t>(acc[3]);
         }
     }, 1);
 }

@@ -12,17 +12,22 @@
  *
  *  - the activation batch is packed once (`BitSerialMatrix`), and each
  *    group's column window plus sum-of-activations is extracted once per
- *    (sample, group) and reused by every weight row;
+ *    (sample, group) and reused by every weight row (stage 1);
  *  - surviving columns run bit-serially as AND+popcount products between
  *    weight planes and activation planes, shifted by the pruned-column
- *    count;
+ *    count (stage 2);
  *  - pruned columns contribute through the BBS-constant x
  *    sum-of-activations multiplier term (PE Fig 7 step 4) — an all-pruned
  *    group costs exactly one multiply per sample.
  *
- * The kernel parallelizes over weight-row tiles with parallelFor and
- * matches the compressed-domain dot kernel's value bit-for-bit; the test
- * suite pins it against the dense reference on the decompressed weights.
+ * Stage 2 is one dispatched SimdKernels::compressedGemmTile call per 2x2
+ * register tile (two weight rows x two samples) over a whole row of
+ * groups: the weight planes fold in Horner-style into per-activation-
+ * plane lane sums, which are weighed and reduced once per output. The
+ * kernel parallelizes over weight-row pairs with parallelFor and matches
+ * the compressed-domain dot kernel's value bit-for-bit at every SIMD
+ * level; the test suite pins it against the dense reference on the
+ * decompressed weights.
  *
  * Callers reach the kernel through an engine::MatmulPlan
  * (engine/engine.hpp) whose kind resolves to CompressedBatched, or the
@@ -37,7 +42,6 @@
 
 #include "core/bitplane.hpp"
 #include "core/compressed_tensor.hpp"
-#include "engine/tuning.hpp"
 #include "engine/scratch.hpp"
 #include "gemm/bit_serial_matrix.hpp"
 #include "tensor/tensor.hpp"
@@ -234,16 +238,14 @@ namespace detail {
  * Compressed-domain GEMM kernel: activations [N, C] (packed) x
  * compressed weight rows [K, C] -> @p out [N, K] (reshaped only when its
  * shape differs, so a serving loop reuses the buffer). Bit-exact against
- * the dense reference over the decompressed weights for EVERY @p tuning
- * (the stage-2 row-tile width changes traversal order, never
- * arithmetic). Stage-1 staging lives in @p scratch (grow-only); callers
- * normally pass engine::ScratchArena::forThisThread(). The engine's
- * CompressedBatched plan kind executes here.
+ * the dense reference over the decompressed weights. Stage-1 staging
+ * lives in @p scratch (grow-only); callers normally pass
+ * engine::ScratchArena::forThisThread(). The engine's CompressedBatched
+ * plan kind executes here.
  */
 void gemmCompressedKernel(const CompressedRowPlanes &weights,
                           const BitSerialMatrix &activations,
-                          Int32Tensor &out, engine::ScratchArena &scratch,
-                          const engine::TuningParams &tuning = {});
+                          Int32Tensor &out, engine::ScratchArena &scratch);
 
 } // namespace detail
 

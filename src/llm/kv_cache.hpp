@@ -5,10 +5,10 @@
  *
  * Each decode step packs ONLY the new token's K/V rows into the existing
  * planes — prior tokens are never repacked — and attention's score and
- * weighted-value products run over the same dispatched AND+popcount
- * kernel as the compressed GEMM's stage 2 (`compressedGroupDot` with all
- * eight two's-complement planes stored): one call per token for a score,
- * one per (dimension, 64-token word) for a weighted value.
+ * weighted-value products run over the dispatched AND+popcount kernel
+ * `compressedGroupDot` (with all eight two's-complement planes stored):
+ * one call per token for a score, one per (dimension, 64-token word) for
+ * a weighted value.
  *
  * Layouts (one 64-byte-aligned, zero-initialised store each, fixed
  * capacity chosen at construction, no padding words):

@@ -43,6 +43,32 @@ enum class SimdLevel
     Avx512 = 2,
 };
 
+struct PackedGroup; // core/bitplane.hpp
+
+/**
+ * One BBS-compressed weight row as the compressed GEMM's stage 2 reads
+ * it: per group, the packed stored-column planes, the pruned-column
+ * shift and the BBS constant (gemm/compressed_gemm.hpp's
+ * CompressedRowPlanes arrays at the row's offset).
+ */
+struct CompressedRowRef
+{
+    const PackedGroup *groups = nullptr;
+    const std::int8_t *shifts = nullptr;
+    const std::int32_t *constants = nullptr;
+};
+
+/**
+ * One sample's stage-1 staging: per group, its 8-word activation window
+ * (plane c = activation bit c over the group's columns) and its sum of
+ * activations.
+ */
+struct WindowRowRef
+{
+    const std::uint64_t *windows = nullptr;
+    const std::int64_t *sums = nullptr;
+};
+
 /**
  * One implementation of every kernel shape. All sums are exact int64
  * arithmetic — identical across levels for identical inputs.
@@ -106,13 +132,27 @@ struct SimdKernels
      * Whole compressed-group dot: sum over stored weight planes b <
      * @p bits of columnWeight(b, bits) * weightedPlaneDot(planes[b], aw)
      * — the complete stored-column contribution of one BBS group to one
-     * sample. One kernel call per (group, sample) amortizes the weighted
-     * reduction across every weight plane, which is what makes the
-     * compressed GEMM's stage 2 vectorizable at all (a single 8-word
-     * window is too small to win on by itself).
+     * sample, reduced in one call. The KV cache scores and weighs its
+     * plane groups with it.
      */
     std::int64_t (*compressedGroupDot)(const std::uint64_t *planes,
                                        int bits, const std::uint64_t *aw);
+
+    /**
+     * The compressed GEMM's stage-2 register tile: two weight rows x two
+     * samples over @p numGroups groups. out[2 * i + j] is the exact
+     * sum over groups g of
+     *   (compressedGroupDot(w[i] group g, a[j] window g) << w[i] shift g)
+     *   + w[i] constant g * a[j] sum g,
+     * the rows sharing every window load and the samples every weight
+     * plane. Vector levels keep each output's eight per-activation-plane
+     * partial sums in lanes across all groups and weigh and reduce them
+     * once. Edge tiles pass a row or sample twice (w[1] == w[0] or
+     * a[1] == a[0]); the duplicate outputs are simply equal.
+     */
+    void (*compressedGemmTile)(const CompressedRowRef w[2],
+                               const WindowRowRef a[2],
+                               std::int64_t numGroups, std::int64_t out[4]);
 
     /**
      * BBS effectual-ops scan: sum over words of min(ones, groupSize -

@@ -16,6 +16,7 @@
 #include <cstring>
 
 #include "common/bit_utils.hpp"
+#include "core/bitplane.hpp"
 
 namespace bbs {
 namespace detail {
@@ -132,6 +133,28 @@ compressedGroupDotScalar(const std::uint64_t *planes, int bits,
     return v;
 }
 
+void
+compressedGemmTileScalar(const CompressedRowRef w[2], const WindowRowRef a[2],
+                         std::int64_t numGroups, std::int64_t out[4])
+{
+    // The oracle: the per-(group, sample) formula, written out.
+    for (int i = 0; i < 2; ++i) {
+        for (int j = 0; j < 2; ++j) {
+            std::int64_t acc = 0;
+            for (std::int64_t g = 0; g < numGroups; ++g) {
+                const PackedGroup &pg = w[i].groups[g];
+                acc += (compressedGroupDotScalar(pg.planes.data(), pg.bits,
+                                                 a[j].windows +
+                                                     g * kWeightBits)
+                        << w[i].shifts[g]) +
+                       static_cast<std::int64_t>(w[i].constants[g]) *
+                           a[j].sums[g];
+            }
+            out[2 * i + j] = acc;
+        }
+    }
+}
+
 std::int64_t
 effectualOpsSumScalar(const std::uint64_t *w, std::int64_t n, int groupSize)
 {
@@ -170,6 +193,7 @@ scalarKernels()
         &weightedPlaneSumScalar,
         &weightedPlaneSumBatchScalar,
         &compressedGroupDotScalar,
+        &compressedGemmTileScalar,
         &effectualOpsSumScalar,
         &sparseBitsSumScalar,
     };

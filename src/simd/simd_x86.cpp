@@ -18,13 +18,16 @@
  * weightedPlaneSumBatch: an eight-word window is too small for a
  * 256-bit lookup popcount to beat eight scalar POPCNTs (measured
  * ~0.8-1.0x even batched), and an honest dispatch table should not
- * pretend otherwise — the per-group amortized form (compressedGroupDot)
- * is where AVX2 ekes out a win on that shape.
+ * pretend otherwise — the per-group amortized forms (compressedGroupDot,
+ * and the compressed GEMM's stage-2 tile compressedGemmTile) are where
+ * AVX2 ekes out a win on that shape.
  */
 #include "simd/simd.hpp"
 
 #include <algorithm>
 #include <bit>
+
+#include "core/bitplane.hpp"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define BBS_SIMD_X86 1
@@ -324,6 +327,22 @@ andPopcountTileAvx2(const std::uint64_t *a0, const std::uint64_t *a1,
     out[3] = p11;
 }
 
+/**
+ * The activation-significance weighting of eight per-plane lane sums
+ * (@p lo: planes 0-3, @p hi: planes 4-7): sum over c of 2^c * lane c,
+ * the sign plane (c = 7) negative.
+ */
+BBS_TARGET_AVX2 inline std::int64_t
+weighActivationPlanesAvx2(__m256i lo, __m256i hi)
+{
+    __m256i shLo = _mm256_sllv_epi64(lo, _mm256_setr_epi64x(0, 1, 2, 3));
+    __m256i shHi = _mm256_sllv_epi64(hi, _mm256_setr_epi64x(4, 5, 6, 7));
+    // Lane 3 of shHi is the activation sign plane: subtract it.
+    __m256i neg = _mm256_sub_epi64(_mm256_setzero_si256(), shHi);
+    __m256i signedHi = _mm256_blend_epi32(shHi, neg, 0xC0);
+    return hsum64x4(_mm256_add_epi64(shLo, signedHi));
+}
+
 BBS_TARGET_AVX2 std::int64_t
 compressedGroupDotAvx2(const std::uint64_t *planes, int bits,
                        const std::uint64_t *aw)
@@ -355,12 +374,69 @@ compressedGroupDotAvx2(const std::uint64_t *planes, int bits,
             accHi = _mm256_add_epi64(accHi, pcHi);
         }
     }
-    __m256i shLo = _mm256_sllv_epi64(accLo, _mm256_setr_epi64x(0, 1, 2, 3));
-    __m256i shHi = _mm256_sllv_epi64(accHi, _mm256_setr_epi64x(4, 5, 6, 7));
-    // Lane 3 of shHi is the activation sign plane: subtract it.
-    __m256i neg = _mm256_sub_epi64(zero, shHi);
-    __m256i signedHi = _mm256_blend_epi32(shHi, neg, 0xC0);
-    return hsum64x4(_mm256_add_epi64(shLo, signedHi));
+    return weighActivationPlanesAvx2(accLo, accHi);
+}
+
+/**
+ * One weight row's group against two samples' windows (@p va: sample 0
+ * planes 0-3, 4-7, then sample 1's): Horner over the stored planes (the
+ * sign plane enters negated, each lower plane after one doubling) gives
+ * lane c = sum over b of columnWeight(b, bits) * popcount(planes[b] &
+ * window[c]); it is shifted by the pruned-column count and added into
+ * @p lanes (the same layout as @p va).
+ */
+BBS_TARGET_AVX2 inline void
+foldGroupAvx2(const PackedGroup &pg, int shift, const __m256i va[4],
+              __m256i lanes[4])
+{
+    const std::uint64_t *planes = pg.planes.data();
+    const __m256i zero = _mm256_setzero_si256();
+    __m256i h[4] = {zero, zero, zero, zero};
+    int b = pg.bits - 1;
+    if (b >= 0) {
+        __m256i wb = _mm256_set1_epi64x(static_cast<long long>(planes[b]));
+        for (int v = 0; v < 4; ++v)
+            h[v] = _mm256_sub_epi64(
+                zero, popcnt64x4(_mm256_and_si256(va[v], wb)));
+    }
+    for (--b; b >= 0; --b) {
+        __m256i wb = _mm256_set1_epi64x(static_cast<long long>(planes[b]));
+        for (int v = 0; v < 4; ++v)
+            h[v] = _mm256_add_epi64(
+                _mm256_add_epi64(h[v], h[v]),
+                popcnt64x4(_mm256_and_si256(va[v], wb)));
+    }
+    __m128i sh = _mm_cvtsi32_si128(shift);
+    for (int v = 0; v < 4; ++v)
+        lanes[v] = _mm256_add_epi64(lanes[v], _mm256_sll_epi64(h[v], sh));
+}
+
+BBS_TARGET_AVX2 void
+compressedGemmTileAvx2(const CompressedRowRef w[2], const WindowRowRef a[2],
+                       std::int64_t numGroups, std::int64_t out[4])
+{
+    // lanes[2 * (2 * i + j) + half]: output (row i, sample j)'s
+    // per-activation-plane partial sums, planes 0-3 then 4-7, carried
+    // across every group and weighed and reduced once.
+    const __m256i zero = _mm256_setzero_si256();
+    __m256i lanes[8] = {zero, zero, zero, zero, zero, zero, zero, zero};
+    std::int64_t constantTerm[4] = {0, 0, 0, 0};
+    for (std::int64_t g = 0; g < numGroups; ++g) {
+        __m256i va[4] = {zero, zero, zero, zero};
+        for (int v = 0; v < 4; ++v)
+            va[v] = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
+                a[v / 2].windows + g * kWeightBits + 4 * (v % 2)));
+        for (int i = 0; i < 2; ++i) {
+            foldGroupAvx2(w[i].groups[g], w[i].shifts[g], va, lanes + 4 * i);
+            for (int j = 0; j < 2; ++j)
+                constantTerm[2 * i + j] +=
+                    static_cast<std::int64_t>(w[i].constants[g]) *
+                    a[j].sums[g];
+        }
+    }
+    for (int t = 0; t < 4; ++t)
+        out[t] = weighActivationPlanesAvx2(lanes[2 * t], lanes[2 * t + 1]) +
+                 constantTerm[t];
 }
 
 BBS_TARGET_AVX2 std::int64_t
@@ -543,17 +619,23 @@ andPopcountTileAvx512(const std::uint64_t *a0, const std::uint64_t *a1,
     out[3] = _mm512_reduce_add_epi64(acc11);
 }
 
-/** All eight planes in one vector: popcount, shift by lane, sign lane
- *  subtracts. */
+/** The activation-significance weighting of eight per-plane lane sums:
+ *  sum over lanes c of 2^c * lane c, the sign lane (c = 7) negative. */
 BBS_TARGET_AVX512 inline std::int64_t
-weightedPlaneReduceAvx512(__m512i v)
+weighActivationPlanesAvx512(__m512i lanes)
 {
-    __m512i pc = _mm512_popcnt_epi64(v);
     __m512i sh = _mm512_sllv_epi64(
-        pc, _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
+        lanes, _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
     __m512i sgn = _mm512_mask_sub_epi64(sh, static_cast<__mmask8>(0x80),
                                         _mm512_setzero_si512(), sh);
     return _mm512_reduce_add_epi64(sgn);
+}
+
+/** All eight planes in one vector: popcount, then the weighting. */
+BBS_TARGET_AVX512 inline std::int64_t
+weightedPlaneReduceAvx512(__m512i v)
+{
+    return weighActivationPlanesAvx512(_mm512_popcnt_epi64(v));
 }
 
 BBS_TARGET_AVX512 std::int64_t
@@ -604,11 +686,74 @@ compressedGroupDotAvx512(const std::uint64_t *planes, int bits,
         acc = (b == bits - 1) ? _mm512_sub_epi64(acc, pc)
                               : _mm512_add_epi64(acc, pc);
     }
-    __m512i sh = _mm512_sllv_epi64(
-        acc, _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
-    __m512i sgn = _mm512_mask_sub_epi64(sh, static_cast<__mmask8>(0x80),
-                                        _mm512_setzero_si512(), sh);
-    return _mm512_reduce_add_epi64(sgn);
+    return weighActivationPlanesAvx512(acc);
+}
+
+/** AND+popcount of one weight plane against a window: lane c =
+ *  popcount(@p wb & window[c]). */
+BBS_TARGET_AVX512 inline __m512i
+planePopcountAvx512(__m512i window, __m512i wb)
+{
+    return _mm512_popcnt_epi64(_mm512_and_si512(window, wb));
+}
+
+/**
+ * One weight row's group against two samples' windows: Horner over the
+ * stored planes (the sign plane enters negated, each lower plane after
+ * one doubling) gives lane c = sum over b of columnWeight(b, bits) *
+ * popcount(planes[b] & window[c]); it is shifted by the pruned-column
+ * count and added into @p lanes0 / @p lanes1.
+ */
+BBS_TARGET_AVX512 inline void
+foldGroupAvx512(const PackedGroup &pg, int shift, __m512i va0, __m512i va1,
+                __m512i &lanes0, __m512i &lanes1)
+{
+    const std::uint64_t *planes = pg.planes.data();
+    __m512i h0 = _mm512_setzero_si512(), h1 = _mm512_setzero_si512();
+    int b = pg.bits - 1;
+    if (b >= 0) {
+        __m512i wb = _mm512_set1_epi64(static_cast<long long>(planes[b]));
+        h0 = _mm512_sub_epi64(h0, planePopcountAvx512(va0, wb));
+        h1 = _mm512_sub_epi64(h1, planePopcountAvx512(va1, wb));
+    }
+    for (--b; b >= 0; --b) {
+        __m512i wb = _mm512_set1_epi64(static_cast<long long>(planes[b]));
+        h0 = _mm512_add_epi64(_mm512_add_epi64(h0, h0),
+                              planePopcountAvx512(va0, wb));
+        h1 = _mm512_add_epi64(_mm512_add_epi64(h1, h1),
+                              planePopcountAvx512(va1, wb));
+    }
+    __m512i sh = _mm512_set1_epi64(shift);
+    lanes0 = _mm512_add_epi64(lanes0, _mm512_sllv_epi64(h0, sh));
+    lanes1 = _mm512_add_epi64(lanes1, _mm512_sllv_epi64(h1, sh));
+}
+
+BBS_TARGET_AVX512 void
+compressedGemmTileAvx512(const CompressedRowRef w[2],
+                         const WindowRowRef a[2], std::int64_t numGroups,
+                         std::int64_t out[4])
+{
+    // lIJ lane c: output (row I, sample J)'s activation-plane-c partial
+    // sum, carried across every group and weighed and reduced once.
+    const __m512i zero = _mm512_setzero_si512();
+    __m512i l00 = zero, l01 = zero, l10 = zero, l11 = zero;
+    std::int64_t c00 = 0, c01 = 0, c10 = 0, c11 = 0;
+    for (std::int64_t g = 0; g < numGroups; ++g) {
+        __m512i va0 = _mm512_loadu_si512(a[0].windows + g * kWeightBits);
+        __m512i va1 = _mm512_loadu_si512(a[1].windows + g * kWeightBits);
+        foldGroupAvx512(w[0].groups[g], w[0].shifts[g], va0, va1, l00, l01);
+        foldGroupAvx512(w[1].groups[g], w[1].shifts[g], va0, va1, l10, l11);
+        std::int64_t k0 = w[0].constants[g], k1 = w[1].constants[g];
+        std::int64_t s0 = a[0].sums[g], s1 = a[1].sums[g];
+        c00 += k0 * s0;
+        c01 += k0 * s1;
+        c10 += k1 * s0;
+        c11 += k1 * s1;
+    }
+    out[0] = weighActivationPlanesAvx512(l00) + c00;
+    out[1] = weighActivationPlanesAvx512(l01) + c01;
+    out[2] = weighActivationPlanesAvx512(l10) + c10;
+    out[3] = weighActivationPlanesAvx512(l11) + c11;
 }
 
 BBS_TARGET_AVX512 std::int64_t
@@ -660,6 +805,7 @@ const SimdKernels avx512Table = {
     &weightedPlaneSumAvx512,
     &weightedPlaneSumBatchAvx512,
     &compressedGroupDotAvx512,
+    &compressedGemmTileAvx512,
     &effectualOpsSumAvx512,
     &sparseBitsSumAvx512,
 };
@@ -700,6 +846,7 @@ avx2KernelsOrNull()
             scalarKernels().weightedPlaneSum,
             scalarKernels().weightedPlaneSumBatch,
             &compressedGroupDotAvx2,
+            &compressedGemmTileAvx2,
             &effectualOpsSumAvx2,
             &sparseBitsSumAvx2,
         };

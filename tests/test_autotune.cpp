@@ -162,7 +162,6 @@ TEST(TuningCacheTest, SaveLoadRoundTripPreservesEntries)
     e.depthBlockWords = 256;
     e.tileRows = 1;
     e.tileCols = 2;
-    e.rowTile = 4; // non-default: pins the JSON field, not the fallback
     e.seconds = 3.25e-4;
     cache.entries.push_back(e);
     cache.entries.push_back(
@@ -184,12 +183,38 @@ TEST(TuningCacheTest, SaveLoadRoundTripPreservesEntries)
     EXPECT_EQ(loaded.entries[0].depthBlockWords, 256);
     EXPECT_EQ(loaded.entries[0].tileRows, 1);
     EXPECT_EQ(loaded.entries[0].tileCols, 2);
-    EXPECT_EQ(loaded.entries[0].rowTile, 4);
     EXPECT_NEAR(loaded.entries[0].seconds, 3.25e-4, 1e-9);
     EXPECT_EQ(loaded.entries[1].kind, PlanKind::TiledBitSerial);
     EXPECT_TRUE(loaded.hasKind(PlanKind::TiledBitSerial));
     EXPECT_FALSE(loaded.hasKind(PlanKind::CompressedBatched));
     std::remove(path.c_str());
+
+    // A cache written before the compressed kernel's row tile became
+    // fixed carries a "rowTile" key; it still loads, key ignored.
+    std::string older = tempCachePath("roundtrip_rowtile");
+    writeFile(older,
+              "{\"bench\": \"autotune\", \"version\": 1, \"records\": [\n"
+              "  {\"kernel\": \"compressed-batched\", \"config\": "
+              "\"r64 d256 b8\", \"simd\": \"avx2\", \"threads\": 4, "
+              "\"rows\": 64, \"depth\": 256, \"batch\": 8, "
+              "\"storedBits\": 5, \"depthBlockWords\": 0, "
+              "\"tileRows\": 2, \"tileCols\": 2, \"rowTile\": 4, "
+              "\"seconds\": 0.000325}\n"
+              "]}\n");
+    TuningCache fromOlder;
+    ASSERT_TRUE(TuningCache::load(older, fromOlder));
+    ASSERT_EQ(fromOlder.entries.size(), 1u);
+    EXPECT_EQ(fromOlder.entries[0].kind, PlanKind::CompressedBatched);
+    EXPECT_EQ(fromOlder.entries[0].simd, "avx2");
+    EXPECT_EQ(fromOlder.entries[0].threads, 4u);
+    EXPECT_EQ(fromOlder.entries[0].rows, 64);
+    EXPECT_EQ(fromOlder.entries[0].depth, 256);
+    EXPECT_EQ(fromOlder.entries[0].batch, 8);
+    EXPECT_DOUBLE_EQ(fromOlder.entries[0].storedBits, 5.0);
+    EXPECT_EQ(fromOlder.entries[0].tileRows, 2);
+    EXPECT_EQ(fromOlder.entries[0].tileCols, 2);
+    EXPECT_NEAR(fromOlder.entries[0].seconds, 3.25e-4, 1e-9);
+    std::remove(older.c_str());
 }
 
 TEST(TuningCacheTest, LookupMatchesNearestShapeClassWithinRadius)

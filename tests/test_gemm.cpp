@@ -3,8 +3,9 @@
  * Tests for the bit-serial GEMM engine: BitSerialMatrix packing is a
  * lossless round-trip, and both GEMM kernels (dense bit-serial and
  * compressed-domain) are pinned row-by-row against dotReference over
- * fuzzed shapes — including ragged non-multiple-of-64 column tails and
- * all-pruned groups.
+ * fuzzed shapes — including ragged non-multiple-of-64 column tails,
+ * all-pruned groups, rows of many groups and the depth limit's extreme
+ * products.
  */
 #include <gtest/gtest.h>
 
@@ -257,6 +258,62 @@ TEST(GemmCompressedTest, PrepareFromCompressedTensor)
     Int32Tensor ref = gemmReferenceBatch(a, dec);
     for (std::int64_t i = 0; i < ref.numel(); ++i)
         EXPECT_EQ(got.flat(i), ref.flat(i)) << "i=" << i;
+}
+
+TEST(GemmCompressedTest, DeepRowsMatchReferenceOnDecompressedWeights)
+{
+    // Rows of many groups: stage 2's lane sums carry across 96 groups
+    // of 32, and across 16 groups of 64 ending in a 40-column tail. An
+    // odd sample and weight-row count leaves edge tiles in both.
+    Rng rng(1212);
+    struct DeepShape
+    {
+        std::int64_t n, k, c, groupSize;
+    };
+    for (DeepShape s : {DeepShape{17, 129, 3072, 32},
+                        DeepShape{3, 5, 1000, 64}}) {
+        for (PruneStrategy strategy : {PruneStrategy::RoundedAveraging,
+                                       PruneStrategy::ZeroPointShifting}) {
+            CompressedRowPlanes planes = CompressedRowPlanes::compress(
+                randomMatrix(s.k, s.c, rng), s.groupSize, 3, strategy);
+            Int8Tensor a = randomMatrix(s.n, s.c, rng);
+            Int32Tensor got =
+                engine::matmulCompressed(planes, BitSerialMatrix::pack(a));
+            Int32Tensor ref = gemmReferenceBatch(a, planes.decompress());
+            ASSERT_TRUE(got.shape() == ref.shape());
+            for (std::int64_t i = 0; i < ref.numel(); ++i)
+                ASSERT_EQ(got.flat(i), ref.flat(i))
+                    << "N" << s.n << " K" << s.k << " C" << s.c
+                    << " i=" << i;
+        }
+    }
+}
+
+TEST(GemmCompressedTest, ExtremeProductsAtMaxDepthStayExact)
+{
+    // The largest |output| the depth limit admits: every activation
+    // -128 against the most negative storable weight, -128 (stored -16
+    // over 3 pruned columns), at depth kMaxGemmDepth. Each output is
+    // 128 * 128 * (2^17 - 1) = 2^31 - 2^14, inside INT32 only by the
+    // depth limit, so the lane sums and the narrowing must be exact.
+    Int8Tensor w(Shape{3, kMaxGemmDepth});
+    Int8Tensor a(Shape{3, kMaxGemmDepth});
+    for (std::int64_t i = 0; i < w.numel(); ++i)
+        w.flat(i) = -128;
+    for (std::int64_t i = 0; i < a.numel(); ++i)
+        a.flat(i) = -128;
+    CompressedRowPlanes planes = CompressedRowPlanes::compress(
+        w, 32, 3, PruneStrategy::RoundedAveraging);
+    ASSERT_EQ(planes.packedGroup(0, 0).bits, 5);
+    ASSERT_EQ(planes.shift(0, 0), 3);
+    Int32Tensor got =
+        engine::matmulCompressed(planes, BitSerialMatrix::pack(a));
+    Int32Tensor ref = gemmReferenceBatch(a, planes.decompress());
+    const std::int64_t want = 128 * 128 * kMaxGemmDepth;
+    for (std::int64_t i = 0; i < ref.numel(); ++i) {
+        ASSERT_EQ(static_cast<std::int64_t>(got.flat(i)), want) << "i=" << i;
+        ASSERT_EQ(ref.flat(i), got.flat(i)) << "i=" << i;
+    }
 }
 
 TEST(ParallelTest, ThreadCapParsing)

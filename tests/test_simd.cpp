@@ -20,6 +20,7 @@
 
 #include "common/bit_utils.hpp"
 #include "common/random.hpp"
+#include "core/bitplane.hpp"
 #include "engine/engine.hpp"
 #include "gemm/gemm.hpp"
 #include "simd/simd.hpp"
@@ -225,6 +226,141 @@ TEST(SimdKernels, CompressedGroupDotMatchesScalarForEveryStoredWidth)
                 ASSERT_EQ(k.compressedGroupDot(planes, bits, aw),
                           s.compressedGroupDot(planes, bits, aw))
                     << "bits=" << bits << " rep=" << rep;
+            }
+        }
+    }
+}
+
+/** Low @p members bits set: the columns a group's planes can occupy. */
+std::uint64_t
+memberMask(int members)
+{
+    return members >= 64 ? ~0ull : (1ull << members) - 1ull;
+}
+
+/** One weight row of the stage-2 tile, owned. */
+struct TileRow
+{
+    std::vector<PackedGroup> groups;
+    std::vector<std::int8_t> shifts;
+    std::vector<std::int32_t> constants;
+
+    CompressedRowRef
+    ref() const
+    {
+        return {groups.data(), shifts.data(), constants.data()};
+    }
+};
+
+/** One sample's stage-1 staging, owned. */
+struct TileSample
+{
+    std::vector<std::uint64_t> windows;
+    std::vector<std::int64_t> sums;
+
+    WindowRowRef
+    ref() const
+    {
+        return {windows.data(), sums.data()};
+    }
+};
+
+/** Members of group @p g: @p groupSize, the last group @p tail. */
+int
+tileMembers(std::int64_t g, std::int64_t numGroups, int groupSize, int tail)
+{
+    return g + 1 == numGroups ? tail : groupSize;
+}
+
+/** Random groups: stored bits 1..8, shifts 0..8 - bits, and random,
+ *  sparse, empty and all-ones planes (within the member mask). */
+TileRow
+randomTileRow(Rng &rng, std::int64_t numGroups, int groupSize, int tail)
+{
+    TileRow row;
+    row.groups.resize(static_cast<std::size_t>(numGroups));
+    for (std::int64_t g = 0; g < numGroups; ++g) {
+        PackedGroup &pg = row.groups[static_cast<std::size_t>(g)];
+        pg.size = tileMembers(g, numGroups, groupSize, tail);
+        pg.bits = static_cast<int>(rng.uniformInt(1, kWeightBits));
+        std::uint64_t mask = memberMask(pg.size);
+        for (int b = 0; b < pg.bits; ++b) {
+            std::uint64_t &plane = pg.planes[static_cast<std::size_t>(b)];
+            switch (rng.uniformInt(0, 3)) {
+            case 0: plane = 0; break;
+            case 1: plane = mask; break;
+            case 2: plane = rng.next() & rng.next() & mask; break;
+            default: plane = rng.next() & mask; break;
+            }
+        }
+        row.shifts.push_back(static_cast<std::int8_t>(
+            rng.uniformInt(0, kWeightBits - pg.bits)));
+        row.constants.push_back(
+            static_cast<std::int32_t>(rng.uniformInt(-128, 127)));
+    }
+    return row;
+}
+
+/** Random windows (one in four all-ones) and their activation sums. */
+TileSample
+randomTileSample(Rng &rng, std::int64_t numGroups, int groupSize, int tail)
+{
+    const SimdKernels &s = simdKernelsFor(SimdLevel::Scalar);
+    TileSample sample;
+    sample.windows.resize(static_cast<std::size_t>(numGroups * kWeightBits));
+    for (std::int64_t g = 0; g < numGroups; ++g) {
+        std::uint64_t mask =
+            memberMask(tileMembers(g, numGroups, groupSize, tail));
+        bool allOnes = rng.uniformInt(0, 3) == 0;
+        std::uint64_t *aw = sample.windows.data() + g * kWeightBits;
+        for (int c = 0; c < kWeightBits; ++c)
+            aw[c] = allOnes ? mask : rng.next() & mask;
+        sample.sums.push_back(s.weightedPlaneSum(aw));
+    }
+    return sample;
+}
+
+TEST(SimdKernels, CompressedGemmTileMatchesScalarOverWholeRows)
+{
+    Rng rng(321);
+    const SimdKernels &s = simdKernelsFor(SimdLevel::Scalar);
+    for (std::int64_t numGroups : {1, 2, 3, 7, 8, 9, 24, 33, 96}) {
+        for (int groupSize : {1, 5, 32, 33, 64}) {
+            // A full last group, then a short tail group.
+            for (int tail : {groupSize,
+                             static_cast<int>(rng.uniformInt(1, groupSize))}) {
+                TileRow w0 = randomTileRow(rng, numGroups, groupSize, tail);
+                TileRow w1 = randomTileRow(rng, numGroups, groupSize, tail);
+                TileSample a0 =
+                    randomTileSample(rng, numGroups, groupSize, tail);
+                TileSample a1 =
+                    randomTileSample(rng, numGroups, groupSize, tail);
+                // The full tile, then the edge tiles (a row or a sample
+                // passed twice).
+                const CompressedRowRef rowSets[3][2] = {
+                    {w0.ref(), w1.ref()},
+                    {w0.ref(), w0.ref()},
+                    {w1.ref(), w0.ref()}};
+                const WindowRowRef sampleSets[3][2] = {
+                    {a0.ref(), a1.ref()},
+                    {a1.ref(), a0.ref()},
+                    {a1.ref(), a1.ref()}};
+                for (int t = 0; t < 3; ++t) {
+                    std::int64_t want[4];
+                    s.compressedGemmTile(rowSets[t], sampleSets[t],
+                                         numGroups, want);
+                    for (SimdLevel level : supportedLevels()) {
+                        std::int64_t got[4];
+                        simdKernelsFor(level).compressedGemmTile(
+                            rowSets[t], sampleSets[t], numGroups, got);
+                        for (int o = 0; o < 4; ++o)
+                            ASSERT_EQ(got[o], want[o])
+                                << simdLevelName(level) << " groups="
+                                << numGroups << " gs=" << groupSize
+                                << " tail=" << tail << " tile=" << t
+                                << " out=" << o;
+                    }
+                }
             }
         }
     }
