@@ -35,6 +35,7 @@
  * bit-identical outputs.
  */
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -340,41 +341,41 @@ main(int argc, char **argv)
             static_cast<std::size_t>(numGroups * kWeightBits));
         for (auto &w : windows)
             w = rng.next();
-        // The stage-2 tile over the same groups: row 0 the planes above,
-        // row 1 them in reverse order; sample 0 the windows above,
-        // sample 1 fresh ones.
-        std::vector<PackedGroup> tileGroups(
-            static_cast<std::size_t>(2 * numGroups));
-        std::vector<std::int8_t> tileShifts;
-        std::vector<std::int32_t> tileConstants;
-        for (std::int64_t i = 0; i < 2 * numGroups; ++i) {
-            std::int64_t g = i < numGroups ? i : 2 * numGroups - 1 - i;
-            PackedGroup &pg = tileGroups[static_cast<std::size_t>(i)];
-            pg.size = 64;
-            pg.bits = storedBits;
-            std::copy_n(gPlanes.begin() + g * kWeightBits, kWeightBits,
-                        pg.planes.begin());
-            tileShifts.push_back(static_cast<std::int8_t>(
-                rng.uniformInt(0, kWeightBits - storedBits)));
-            tileConstants.push_back(
-                static_cast<std::int32_t>(rng.uniformInt(-8, 8)));
-        }
-        std::vector<std::uint64_t> windows1(windows.size());
-        for (auto &w : windows1)
-            w = rng.next();
-        std::vector<std::int64_t> sums0(static_cast<std::size_t>(numGroups));
-        std::vector<std::int64_t> sums1(sums0.size());
-        scalar.weightedPlaneSumBatch(windows.data(), numGroups,
-                                     sums0.data());
-        scalar.weightedPlaneSumBatch(windows1.data(), numGroups,
-                                     sums1.data());
-        const CompressedRowRef tileRows[2] = {
-            {tileGroups.data(), tileShifts.data(), tileConstants.data()},
-            {tileGroups.data() + numGroups, tileShifts.data() + numGroups,
-             tileConstants.data() + numGroups}};
-        const WindowRowRef tileSamples[2] = {
-            {windows.data(), sums0.data()},
-            {windows1.data(), sums1.data()}};
+        // The stage-2 tile's operands as the GEMM builds them: two
+        // compressed rows of 64 groups of 32 at two pruned columns (6
+        // stored planes, stride 6), and two sample pairs' random 16-lane
+        // window blocks with their sums of activations.
+        CompressedRowPlanes tilePlanes = CompressedRowPlanes::compress(
+            randomCodes(2, numGroups * 32, 0x711e), 32, 2,
+            PruneStrategy::ZeroPointShifting);
+        std::vector<std::uint32_t> tileWindows(
+            static_cast<std::size_t>(2 * numGroups * 16));
+        std::vector<std::int32_t> tileSums(
+            static_cast<std::size_t>(2 * numGroups * 2), 0);
+        for (std::int64_t b = 0; b < 2 * numGroups; ++b)
+            for (int s = 0; s < 2; ++s)
+                for (int ch = 0; ch < kWeightBits; ++ch) {
+                    auto lane = static_cast<std::uint32_t>(rng.next());
+                    tileWindows[static_cast<std::size_t>(16 * b + 8 * s +
+                                                         ch)] = lane;
+                    tileSums[static_cast<std::size_t>(2 * b + s)] +=
+                        static_cast<std::int32_t>(
+                            columnWeight(ch, kWeightBits) *
+                            std::popcount(lane));
+                }
+        auto tileRow = [&](std::int64_t o) {
+            return CompressedRowRef{
+                tilePlanes.groupPlanes(o, 0),
+                tilePlanes.bits().data() + o * numGroups,
+                tilePlanes.shifts().data() + o * numGroups,
+                tilePlanes.constants().data() + o * numGroups};
+        };
+        const CompressedRowRef tileRows[2] = {tileRow(0), tileRow(1)};
+        const WindowPairRef tilePairs[2] = {
+            {tileWindows.data(), tileSums.data()},
+            {tileWindows.data() + numGroups * 16,
+             tileSums.data() + numGroups * 2}};
+        const int tileStride = tilePlanes.stride();
         // `gated` rows are the stream kernels whose throughput the
         // tentpole targets: they enter the geomean gate. Window/group
         // kernels (one 8-word window per logical op) are horizontal-
@@ -438,34 +439,29 @@ main(int argc, char **argv)
             simdRow(
                 "compressedGemmTile", false,
                 [&] {
-                    std::int64_t out[4];
-                    scalar.compressedGemmTile(tileRows, tileSamples,
-                                              numGroups, out);
-                    return out[0] + out[1] + out[2] + out[3];
+                    std::int32_t out[8] = {};
+                    scalar.compressedGemmTile(tileRows, tilePairs,
+                                              numGroups, tileStride, 1,
+                                              out);
+                    std::int64_t sum = 0;
+                    for (std::int32_t v : out)
+                        sum += v;
+                    return sum;
                 },
                 [&] {
-                    std::int64_t out[4];
-                    active.compressedGemmTile(tileRows, tileSamples,
-                                              numGroups, out);
-                    return out[0] + out[1] + out[2] + out[3];
+                    std::int32_t out[8] = {};
+                    active.compressedGemmTile(tileRows, tilePairs,
+                                              numGroups, tileStride, 1,
+                                              out);
+                    std::int64_t sum = 0;
+                    for (std::int32_t v : out)
+                        sum += v;
+                    return sum;
                 },
-                static_cast<double>(4 * numGroups * kWeightBits));
-        if (active.weightedPlaneSumBatch != scalar.weightedPlaneSumBatch)
-            simdRow(
-                "weightedPlaneSumBatch", false,
-                [&] {
-                    std::int64_t sums[64];
-                    scalar.weightedPlaneSumBatch(windows.data(),
-                                                 numGroups, sums);
-                    return sums[0] + sums[numGroups - 1];
-                },
-                [&] {
-                    std::int64_t sums[64];
-                    active.weightedPlaneSumBatch(windows.data(),
-                                                 numGroups, sums);
-                    return sums[0] + sums[numGroups - 1];
-                },
-                static_cast<double>(numGroups * kWeightBits));
+                // 32-bit weight plane words x 16-lane blocks, as
+                // 64-bit-word equivalents: 2 rows x 2 pairs x groups x
+                // stride x 8.
+                static_cast<double>(2 * 2 * numGroups * tileStride * 8));
 
         gatePassed =
             simdBench.finish(

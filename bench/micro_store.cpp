@@ -214,13 +214,17 @@ main(int argc, char **argv)
         if (::pipe(toChild) == 0 && ::pipe(toParent) == 0) {
             pid_t pid = ::fork();
             if (pid == 0) {
-                // Child: independent mapping of the same container
-                // (validation faults the payload in), then hold it
-                // until the parent has read smaps.
+                // Child: independent mapping of the same container,
+                // then hold it until the parent has read smaps. Open
+                // validation reads only the metadata and the per-group
+                // bit and shift bytes, so the child faults the whole
+                // payload in with the checksum pass, which reads every
+                // section.
                 ::close(toChild[1]);
                 ::close(toParent[0]);
                 std::shared_ptr<const store::MappedContainer> c;
-                char byte = store::MappedContainer::tryOpen(path, c)
+                char byte = store::MappedContainer::tryOpen(path, c) &&
+                                    c->verifyChecksums()
                                 ? '1'
                                 : '0';
                 (void)!::write(toParent[1], &byte, 1);

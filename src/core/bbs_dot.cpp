@@ -24,20 +24,21 @@ sumActivations(std::span<const std::int8_t> activations)
 }
 
 /**
- * BBS bit-serial dot over packed planes: per column, gather whichever of
- * {ones, zeros} is fewer (Eq. 2/3). Gathering iterates set bits only, so a
- * column costs its effectual bits instead of the full group size.
+ * BBS bit-serial dot over packed planes (@p columnAt(b) = plane b as a
+ * 64-bit column): per column, gather whichever of {ones, zeros} is fewer
+ * (Eq. 2/3). Gathering iterates set bits only, so a column costs its
+ * effectual bits instead of the full group size.
  */
+template <typename ColumnAt>
 BbsDotResult
-dotPackedPlanes(const PackedGroup &pg,
-                std::span<const std::int8_t> activations,
-                std::int64_t sumA)
+dotPackedPlanes(ColumnAt columnAt, int bits,
+                std::span<const std::int8_t> activations, std::int64_t sumA)
 {
     BbsDotResult res;
-    int n = pg.size;
-    BitColumn m = pg.mask();
-    for (int b = 0; b < pg.bits; ++b) {
-        BitColumn col = pg.planes[static_cast<std::size_t>(b)];
+    int n = static_cast<int>(activations.size());
+    BitColumn m = n >= 64 ? ~0ull : (1ull << n) - 1ull;
+    for (int b = 0; b < bits; ++b) {
+        BitColumn col = columnAt(b);
         int ones = std::popcount(col);
         std::int64_t colSum;
         if (ones <= n - ones) {
@@ -50,9 +51,36 @@ dotPackedPlanes(const PackedGroup &pg,
             res.effectualOps += n - ones;
             ++res.invertedColumns;
         }
-        res.value += columnWeight(b, pg.bits) * colSum;
+        res.value += columnWeight(b, bits) * colSum;
     }
     return res;
+}
+
+/**
+ * The compressed-domain dot (PE Fig 7) over packed stored columns:
+ * surviving columns bit-serially with BBS skipping, their LSB at
+ * significance @p prunedColumns of the reconstructed weight, plus the
+ * BBS multiplier's constant * sumA for the pruned columns. The constant
+ * already encodes the reconstruction offset for both strategies.
+ */
+template <typename ColumnAt>
+BbsDotResult
+dotCompressedPlanes(ColumnAt columnAt, int bits, int prunedColumns,
+                    std::int32_t constant,
+                    std::span<const std::int8_t> activations)
+{
+    std::int64_t sumA = sumActivations(activations);
+    BbsDotResult res = dotPackedPlanes(columnAt, bits, activations, sumA);
+    res.value <<= prunedColumns;
+    res.value += static_cast<std::int64_t>(constant) * sumA;
+    return res;
+}
+
+/** Column accessor over a PackedGroup's planes. */
+auto
+columnsOf(const PackedGroup &pg)
+{
+    return [&pg](int b) { return pg.planes[static_cast<std::size_t>(b)]; };
 }
 
 } // namespace
@@ -110,7 +138,8 @@ dotBbsKernel(std::span<const std::int8_t> weights,
 {
     BBS_REQUIRE(weights.size() == activations.size(),
                 "dot operand size mismatch");
-    return dotPackedPlanes(packGroup(weights), activations,
+    PackedGroup pg = packGroup(weights);
+    return dotPackedPlanes(columnsOf(pg), pg.bits, activations,
                            sumActivations(activations));
 }
 
@@ -149,22 +178,19 @@ dotBbsScalarKernel(std::span<const std::int8_t> weights,
 }
 
 BbsDotResult
-dotCompressedPacked(const PackedGroup &pg, int prunedColumns,
-                    std::int32_t constant,
+dotCompressedPacked(const std::uint32_t *planes, int planeWords, int bits,
+                    int prunedColumns, std::int32_t constant,
                     std::span<const std::int8_t> activations)
 {
-    std::int64_t sumA = sumActivations(activations);
-
-    // Surviving columns bit-serially with BBS skipping; their LSB sits at
-    // significance prunedColumns of the reconstructed weight.
-    BbsDotResult res = dotPackedPlanes(pg, activations, sumA);
-    res.value <<= prunedColumns;
-
-    // Pruned columns: the BBS multiplier computes constant * sumA
-    // (PE Fig 7 step 4). The constant already encodes the reconstruction
-    // offset for both strategies.
-    res.value += static_cast<std::int64_t>(constant) * sumA;
-    return res;
+    auto columnAt = [planes, planeWords](int b) {
+        const std::uint32_t *words = planes + b * planeWords;
+        BitColumn col = words[0];
+        if (planeWords > 1)
+            col |= static_cast<BitColumn>(words[1]) << 32;
+        return col;
+    };
+    return dotCompressedPlanes(columnAt, bits, prunedColumns, constant,
+                               activations);
 }
 
 BbsDotResult
@@ -173,9 +199,9 @@ dotCompressedKernel(const CompressedGroup &cg,
 {
     BBS_REQUIRE(cg.stored.size() == activations.size(),
                 "dot operand size mismatch");
-    return dotCompressedPacked(packGroup(cg.stored, cg.storedBits),
-                               cg.prunedColumns, cg.meta.constant,
-                               activations);
+    PackedGroup pg = packGroup(cg.stored, cg.storedBits);
+    return dotCompressedPlanes(columnsOf(pg), pg.bits, cg.prunedColumns,
+                               cg.meta.constant, activations);
 }
 
 BbsDotResult

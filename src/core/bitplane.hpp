@@ -42,12 +42,14 @@ namespace bbs {
  * @ref bits are zero. Two's-complement packing keeps the raw encoding
  * bits, so the MSB plane is the sign plane.
  *
- * The struct is cache-line aligned: the eight planes are exactly 64
- * bytes, so the compressed GEMM's one-vector load of a group's planes
- * never straddles two lines (rows of PackedGroup therefore cost a full
- * two lines each — the deliberate space-for-bandwidth trade).
+ * PackedGroup is the working type of the group compressor, the
+ * compressed-tensor serializer, the sparsity scans and every
+ * accelerator model: one group at a time, all eight planes at hand. It
+ * is not a storage format for whole weight matrices — the compressed
+ * GEMM and the model store keep compact rows of only the stored planes,
+ * as 32-bit words (gemm/compressed_gemm.hpp CompressedRowPlanes).
  */
-struct alignas(kCacheLineBytes) PackedGroup
+struct PackedGroup
 {
     std::array<BitColumn, kWeightBits> planes{};
     int size = 0;          ///< members n, 0..64

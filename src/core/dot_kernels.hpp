@@ -21,8 +21,6 @@
 
 namespace bbs {
 
-struct PackedGroup;
-
 /** Work/result of a BBS bit-serial execution. */
 struct BbsDotResult
 {
@@ -65,17 +63,23 @@ BbsDotResult dotCompressedScalarKernel(const CompressedGroup &cg,
 
 /**
  * Compressed-domain dot from *already packed* stored-column planes — the
- * form CompressedRowPlanes caches per (row, group). Exactly what
- * dotCompressedKernel computes after its packGroup(cg.stored,
+ * compact form CompressedRowPlanes keeps per (row, group), read in place.
+ * Exactly what dotCompressedKernel computes after its packGroup(cg.stored,
  * cg.storedBits) step, so a per-dot plan executing prepacked rows stays
  * bit-identical to the CompressedGroup path.
  *
- * @param pg             packed stored columns (planes at significances
- *                       >= pg.bits must be zero)
+ * @param planes         stored plane b at words [b * planeWords,
+ *                       (b + 1) * planeWords), member i at bit i % 32 of
+ *                       word i / 32 (bits past the member count zero)
+ * @param planeWords     uint32 words per plane (1 or 2)
+ * @param bits           stored bit columns (the top one is the sign)
  * @param prunedColumns  significance shift of the stored LSB
  * @param constant       BBS constant (multiplies the activation sum)
+ * @param activations    the group's activations; its length is the
+ *                       member count (at most 32 * planeWords)
  */
-BbsDotResult dotCompressedPacked(const PackedGroup &pg, int prunedColumns,
+BbsDotResult dotCompressedPacked(const std::uint32_t *planes, int planeWords,
+                                 int bits, int prunedColumns,
                                  std::int32_t constant,
                                  std::span<const std::int8_t> activations);
 

@@ -103,7 +103,8 @@ struct RunTimer
 /**
  * The per-dot execution: the pre-GEMM inference loop nest (weight
  * channels outer and parallel, samples inner, groups in ascending
- * order), so plans resolve it bit-identically.
+ * order) over the compact plane rows, read in place, so plans resolve it
+ * bit-identically.
  */
 void
 runPerDot(const CompressedRowPlanes &w, const Int8Tensor &x,
@@ -119,9 +120,9 @@ runPerDot(const CompressedRowPlanes &w, const Int8Tensor &x,
                 std::span<const std::int8_t> acts(
                     &x.at(r, w.groupBegin(g)),
                     static_cast<std::size_t>(w.groupMembers(g)));
-                acc += bbs::detail::dotCompressedPacked(w.packedGroup(o, g),
-                                                  w.shift(o, g),
-                                                  w.constant(o, g), acts)
+                acc += bbs::detail::dotCompressedPacked(
+                           w.groupPlanes(o, g), w.planeWords(), w.bits(o, g),
+                           w.shift(o, g), w.constant(o, g), acts)
                            .value;
             }
             out.at(r, o) = static_cast<std::int32_t>(acc);
@@ -286,18 +287,18 @@ MatmulPlan::execute(PlanKind kind, const TuningParams &tuning,
         // expected batch, so a worker's first (possibly small) batch
         // already sizes the scratch for the largest one to come.
         ScratchArena &arena = ScratchArena::forThisThread();
+        const CompressedRowPlanes &rows = weights_.compressedRows();
         if (scratchReserveRows_ > n)
-            arena.reserve(scratchReserveRows_,
-                          weights_.compressedRows().groupsPerRow());
+            arena.reserve(scratchReserveRows_, rows.groupsPerRow(),
+                          rows.planeWords());
         if (packed != nullptr) {
-            bbs::detail::gemmCompressedKernel(weights_.compressedRows(),
-                                              *packed, out, arena);
+            bbs::detail::gemmCompressedKernel(rows, *packed, out, arena);
         } else {
             if (scratchReserveRows_ > n)
                 arena.reservePack(scratchReserveRows_, depth);
             BitSerialMatrix::packInto(*raw, arena.actsPack);
-            bbs::detail::gemmCompressedKernel(weights_.compressedRows(),
-                                              arena.actsPack, out, arena);
+            bbs::detail::gemmCompressedKernel(rows, arena.actsPack, out,
+                                              arena);
         }
         return;
     }

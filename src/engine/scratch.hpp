@@ -1,21 +1,25 @@
 /**
  * @file
  * Per-thread scratch arena for the compressed GEMM's stage-1 staging
- * (activation window planes + per-group activation sums).
+ * (activation window blocks + per-group activation sums) and the
+ * activation-pack buffer every plan kind but per-dot packs into.
  *
- * The arena used to be an anonymous pair of thread_locals inside
- * gemm/compressed_gemm.cpp; the engine owns the type now so Sessions can
- * pre-reserve it (EngineConfig::scratchReserveRows /
- * ShapeHints::expectedBatch) and so its sizing policy is visible API, not
- * a kernel implementation detail. Arenas keep their high-water allocation
- * for the thread's lifetime: a serving worker draining batch after batch
- * pays zero allocations after the first.
+ * Stage 1 stages windows per *sample pair*: one 64-byte block of 16
+ * uint32 lanes per (pair, group, 32-column word), lanes 0-7 the even
+ * sample's eight activation planes and lanes 8-15 the odd sample's
+ * (zeros when the batch has no odd sample), so stage 2 ANDs one
+ * broadcast weight plane word against two samples per vector. The
+ * engine owns the type so Sessions can pre-reserve it
+ * (EngineConfig::scratchReserveRows / ShapeHints::expectedBatch) and so
+ * its sizing policy is visible API, not a kernel implementation detail.
+ * Arenas keep their high-water allocation for the thread's lifetime: a
+ * serving worker draining batch after batch pays zero allocations after
+ * the first.
  *
- * Threading contract (unchanged from the kernel-local version): the
- * kernel resolves the calling thread's arena ONCE at entry and hands its
- * workers raw pointers — parallelFor workers are fresh threads, and a
- * lambda naming the thread_local would resolve to the worker's own empty
- * instance.
+ * Threading contract: the kernel resolves the calling thread's arena
+ * ONCE at entry and hands its workers raw pointers — parallelFor
+ * workers are fresh threads, and a lambda naming the thread_local would
+ * resolve to the worker's own empty instance.
  */
 #ifndef BBS_ENGINE_SCRATCH_HPP
 #define BBS_ENGINE_SCRATCH_HPP
@@ -24,35 +28,39 @@
 #include <vector>
 
 #include "common/aligned.hpp"
-#include "common/bit_utils.hpp"
 #include "gemm/bit_serial_matrix.hpp"
 
 namespace bbs::engine {
 
 struct ScratchArena
 {
-    /** Stage-1 activation window planes, kWeightBits words per
-     *  (sample, group); 64-byte aligned so each 8-word window is exactly
-     *  one cache line. */
-    AlignedVector<std::uint64_t> windows;
-    /** Per-(sample, group) sum-of-activations terms. */
-    std::vector<std::int64_t> sums;
+    /** Stage-1 window blocks, 16 uint32 lanes per (sample pair, group,
+     *  32-column word), 64-byte aligned so each block is exactly one
+     *  cache line. */
+    AlignedVector<std::uint32_t> windows;
+    /** Per-(sample pair, group) sums of activations, even sample
+     *  first. */
+    std::vector<std::int32_t> sums;
     /** Reusable bit-plane packing of the current activation batch: plan
      *  runs repack each batch in place here (BitSerialMatrix::packInto),
      *  so steady-state execution packs with zero allocations. */
     BitSerialMatrix actsPack;
 
-    /** Grow (never shrink) to hold @p rows x @p groupsPerRow staging. */
+    /** Grow (never shrink) to hold the staging of @p rows samples over
+     *  @p groupsPerRow groups of @p planeWords words. */
     void
-    reserve(std::int64_t rows, std::int64_t groupsPerRow)
+    reserve(std::int64_t rows, std::int64_t groupsPerRow, int planeWords)
     {
         if (rows <= 0 || groupsPerRow <= 0)
             return;
-        std::size_t cells = static_cast<std::size_t>(rows * groupsPerRow);
-        if (windows.size() < cells * kWeightBits)
-            windows.resize(cells * kWeightBits);
-        if (sums.size() < cells)
-            sums.resize(cells);
+        std::size_t blocks =
+            static_cast<std::size_t>((rows + 1) / 2 * groupsPerRow);
+        std::size_t words =
+            blocks * static_cast<std::size_t>(planeWords) * 16;
+        if (windows.size() < words)
+            windows.resize(words);
+        if (sums.size() < 2 * blocks)
+            sums.resize(2 * blocks);
     }
 
     /** Grow the activation-pack buffer for @p rows x @p cols batches. */

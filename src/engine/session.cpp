@@ -96,9 +96,10 @@ Session::plan(PackedOperand weights, ShapeHints hints,
             // Reserve the planning thread's arena now; plan runs
             // re-reserve on their own (possibly different) executing
             // thread.
+            const CompressedRowPlanes &rows = p.weights_.compressedRows();
             ScratchArena::forThisThread().reserve(
-                p.scratchReserveRows_,
-                p.weights_.compressedRows().groupsPerRow());
+                p.scratchReserveRows_, rows.groupsPerRow(),
+                rows.planeWords());
         }
     }
     // Pre-size the planning thread's activation-pack slot: every kind

@@ -41,9 +41,7 @@ inline constexpr std::int64_t kRowPlaneWordAlign =
 
 /**
  * Value sum encoded by eight aligned window planes (plane c's popcount
- * weighs columnWeight(c)). The one expression both rangeSum and the
- * compressed GEMM's sum-of-activations stage compute, kept shared so the
- * sign-plane handling cannot drift between them. Dispatches to the SIMD
+ * weighs columnWeight(c)): rangeSum's reduction. Dispatches to the SIMD
  * kernel layer (exact at every level).
  */
 inline std::int64_t

@@ -13,28 +13,50 @@ namespace bbs {
 
 CompressedRowPlanes
 CompressedRowPlanes::allocate(std::int64_t rows, std::int64_t cols,
-                              std::int64_t groupSize)
+                              std::int64_t groupSize, int stride)
 {
     BBS_REQUIRE(groupSize >= 1 && groupSize <= 64,
                 "group size must be 1..64, got ", groupSize);
+    BBS_REQUIRE(stride >= 1 && stride <= kWeightBits,
+                "plane stride must be 1..", kWeightBits, ", got ", stride);
     CompressedRowPlanes out;
     out.rows_ = rows;
     out.cols_ = cols;
     out.groupSize_ = groupSize;
     out.groupsPerRow_ = (cols + groupSize - 1) / groupSize;
-    std::size_t total = static_cast<std::size_t>(rows * out.groupsPerRow_);
-    out.packed_.resize(total);
+    out.stride_ = stride;
+    out.planeWords_ = planeWordsFor(groupSize);
+    std::size_t total = static_cast<std::size_t>(out.groupCount());
+    out.planes_.assign(total * static_cast<std::size_t>(stride) *
+                           static_cast<std::size_t>(out.planeWords_),
+                       0u);
+    out.bits_.resize(total);
     out.shifts_.resize(total);
     out.constants_.resize(total);
     return out;
 }
 
 void
-CompressedRowPlanes::setGroup(std::size_t idx, const CompressedGroup &cg)
+CompressedRowPlanes::setGroup(std::int64_t idx, const CompressedGroup &cg)
 {
-    packed_[idx] = packGroup(cg.stored, cg.storedBits);
-    shifts_[idx] = static_cast<std::int8_t>(cg.prunedColumns);
-    constants_[idx] = cg.meta.constant;
+    BBS_REQUIRE(cg.storedBits >= 0 && cg.storedBits <= stride_ &&
+                    cg.prunedColumns >= 0 &&
+                    cg.storedBits + cg.prunedColumns <= kWeightBits,
+                "group ", idx, " stores ", cg.storedBits, " bits over ",
+                cg.prunedColumns, " pruned columns; need bits <= ",
+                stride_, " and bits + pruned <= ", kWeightBits);
+    PackedGroup pg = packGroup(cg.stored, cg.storedBits);
+    std::uint32_t *slots =
+        planes_.data() + static_cast<std::size_t>(idx * stride_ *
+                                                  planeWords_);
+    for (int b = 0; b < cg.storedBits; ++b)
+        for (int w = 0; w < planeWords_; ++w)
+            slots[b * planeWords_ + w] = static_cast<std::uint32_t>(
+                pg.planes[static_cast<std::size_t>(b)] >> (32 * w));
+    std::size_t i = static_cast<std::size_t>(idx);
+    bits_[i] = static_cast<std::uint8_t>(cg.storedBits);
+    shifts_[i] = static_cast<std::int8_t>(cg.prunedColumns);
+    constants_[i] = cg.meta.constant;
 }
 
 CompressedRowPlanes
@@ -42,16 +64,18 @@ CompressedRowPlanes::compress(const Int8Tensor &codes,
                               std::int64_t groupSize, int targetColumns,
                               PruneStrategy strategy)
 {
-    CompressedRowPlanes out = allocate(
-        codes.shape().dim(0), codes.shape().channelSize(), groupSize);
-    parallelFor(out.rows_ * out.groupsPerRow_, [&](std::int64_t idx) {
+    BBS_REQUIRE(targetColumns >= 0 && targetColumns <= kMaxPrunedColumns,
+                "target columns must be 0..", kMaxPrunedColumns);
+    CompressedRowPlanes out =
+        allocate(codes.shape().dim(0), codes.shape().channelSize(),
+                 groupSize, kWeightBits - targetColumns);
+    parallelFor(out.groupCount(), [&](std::int64_t idx) {
         std::int64_t o = idx / out.groupsPerRow_;
         std::int64_t g = idx % out.groupsPerRow_;
         std::span<const std::int8_t> group = codes.channel(o).subspan(
             static_cast<std::size_t>(out.groupBegin(g)),
             static_cast<std::size_t>(out.groupMembers(g)));
-        out.setGroup(static_cast<std::size_t>(idx),
-                     compressGroup(group, targetColumns, strategy));
+        out.setGroup(idx, compressGroup(group, targetColumns, strategy));
     });
     return out;
 }
@@ -62,8 +86,12 @@ CompressedRowPlanes::prepare(std::span<const CompressedGroup> groups,
                              std::int64_t cols, std::int64_t groupSize)
 {
     BBS_REQUIRE(!rowOffsets.empty(), "rowOffsets must have rows+1 entries");
+    int stride = 1;
+    for (const CompressedGroup &cg : groups)
+        stride = std::max(stride, cg.storedBits);
     CompressedRowPlanes out = allocate(
-        static_cast<std::int64_t>(rowOffsets.size()) - 1, cols, groupSize);
+        static_cast<std::int64_t>(rowOffsets.size()) - 1, cols, groupSize,
+        stride);
     for (std::int64_t o = 0; o < out.rows_; ++o) {
         std::int64_t begin = rowOffsets[static_cast<std::size_t>(o)];
         std::int64_t end = rowOffsets[static_cast<std::size_t>(o) + 1];
@@ -77,8 +105,7 @@ CompressedRowPlanes::prepare(std::span<const CompressedGroup> groups,
                         "row ", o, " group ", g, " holds ",
                         cg.stored.size(), " weights, expected ",
                         out.groupMembers(g));
-            out.setGroup(static_cast<std::size_t>(o * out.groupsPerRow_ + g),
-                         cg);
+            out.setGroup(o * out.groupsPerRow_ + g, cg);
         }
     }
     return out;
@@ -100,30 +127,29 @@ CompressedRowPlanes::prepare(const CompressedTensor &ct)
 }
 
 CompressedRowPlanes
-CompressedRowPlanes::viewExternal(const PackedGroup *packed,
+CompressedRowPlanes::viewExternal(const std::uint32_t *planes,
+                                  const std::uint8_t *bits,
                                   const std::int8_t *shifts,
                                   const std::int32_t *constants,
                                   std::int64_t rows, std::int64_t cols,
-                                  std::int64_t groupSize)
+                                  std::int64_t groupSize, int stride)
 {
-    BBS_REQUIRE(packed != nullptr && shifts != nullptr &&
+    BBS_REQUIRE(planes != nullptr && bits != nullptr && shifts != nullptr &&
                     constants != nullptr,
                 "viewExternal needs non-null array bases");
     BBS_REQUIRE(rows > 0 && cols > 0, "viewExternal needs a positive shape");
     BBS_REQUIRE(groupSize >= 1 && groupSize <= 64,
                 "group size must be 1..64, got ", groupSize);
-    BBS_REQUIRE(reinterpret_cast<std::uintptr_t>(packed) %
-                        alignof(PackedGroup) ==
-                    0,
-                "viewExternal group base must be cache-line aligned");
+    BBS_REQUIRE(stride >= 1 && stride <= kWeightBits,
+                "plane stride must be 1..", kWeightBits, ", got ", stride);
     CompressedRowPlanes out;
     out.rows_ = rows;
     out.cols_ = cols;
     out.groupSize_ = groupSize;
     out.groupsPerRow_ = (cols + groupSize - 1) / groupSize;
-    out.viewPacked_ = packed;
-    out.viewShifts_ = shifts;
-    out.viewConstants_ = constants;
+    out.stride_ = stride;
+    out.planeWords_ = planeWordsFor(groupSize);
+    out.view_ = {planes, bits, shifts, constants};
     return out;
 }
 
@@ -132,12 +158,12 @@ CompressedRowPlanes::meanStoredBits() const
 {
     if (rows_ == 0 || groupsPerRow_ == 0)
         return 0.0;
-    double bits = 0.0, weights = 0.0;
-    for (const PackedGroup &pg : packedGroups()) {
-        bits += static_cast<double>(pg.bits) * pg.size;
-        weights += static_cast<double>(pg.size);
-    }
-    return weights > 0.0 ? bits / weights : 0.0;
+    double bitCount = 0.0;
+    for (std::int64_t o = 0; o < rows_; ++o)
+        for (std::int64_t g = 0; g < groupsPerRow_; ++g)
+            bitCount += static_cast<double>(bits(o, g)) * groupMembers(g);
+    return bitCount / (static_cast<double>(rows_) *
+                       static_cast<double>(cols_));
 }
 
 Int8Tensor
@@ -145,21 +171,24 @@ CompressedRowPlanes::decompress() const
 {
     BBS_REQUIRE(rows_ > 0 && cols_ > 0, "nothing to decompress");
     Int8Tensor out(Shape{rows_, cols_});
-    std::vector<std::int8_t> stored;
     for (std::int64_t o = 0; o < rows_; ++o) {
         for (std::int64_t g = 0; g < groupsPerRow_; ++g) {
-            const PackedGroup &pg = packedGroup(o, g);
-            stored.resize(static_cast<std::size_t>(pg.size));
-            unpackGroup(pg, stored);
-            std::int64_t begin = groupBegin(g);
+            const std::uint32_t *slots = groupPlanes(o, g);
+            int nb = bits(o, g);
             int sh = shift(o, g);
             std::int32_t c = constant(o, g);
-            for (int i = 0; i < pg.size; ++i)
-                out.at(o, begin + i) = static_cast<std::int8_t>(
-                    (static_cast<std::int32_t>(
-                         stored[static_cast<std::size_t>(i)])
-                     << sh) +
-                    c);
+            std::int64_t begin = groupBegin(g);
+            for (int i = 0; i < groupMembers(g); ++i) {
+                // The stored value: bit i of each stored column, the top
+                // column the sign.
+                std::int32_t stored = 0;
+                for (int b = 0; b < nb; ++b)
+                    if ((slots[b * planeWords_ + i / 32] >> (i % 32)) & 1u)
+                        stored += static_cast<std::int32_t>(
+                            columnWeight(b, nb));
+                out.at(o, begin + i) =
+                    static_cast<std::int8_t>(stored * (1 << sh) + c);
+            }
         }
     }
     return out;
@@ -178,70 +207,90 @@ detail::gemmCompressedKernel(const CompressedRowPlanes &weights,
                 "GEMM depth ", activations.cols(),
                 " can overflow the INT32 outputs (max ", kMaxGemmDepth,
                 ")");
-    std::int64_t n = activations.rows();
-    std::int64_t k = weights.rows();
-    std::int64_t numGroups = weights.groupsPerRow();
+    const std::int64_t n = activations.rows();
+    const std::int64_t k = weights.rows();
+    const std::int64_t numGroups = weights.groupsPerRow();
+    const int stride = weights.stride();
+    const int planeWords = weights.planeWords();
+    const std::int64_t pairs = (n + 1) / 2;
     detail::ensureOutputShape(out, n, k);
 
-    // Stage 1: extract each group's activation window planes and sum of
-    // activations once per (sample, group); every weight row reuses them.
-    // The caller's arena (normally the calling thread's
-    // engine::ScratchArena) grows to its high-water mark once, so a
-    // serving worker draining batch after batch pays no per-batch
-    // allocation; its window store is 64-byte aligned so each group's
-    // 8-plane window (exactly one cache line) is loaded by the SIMD
-    // kernels without straddling lines. CRITICAL: parallelFor workers are
-    // fresh threads, and a lambda body naming a thread_local arena would
-    // resolve to the *worker's own* (empty) instance — so hand the
-    // workers raw pointers into the caller's buffers; they touch only
-    // disjoint slices.
-    scratch.reserve(n, numGroups);
-    std::uint64_t *const windows = scratch.windows.data();
-    std::int64_t *const sums = scratch.sums.data();
-    const SimdKernels &simd = simdKernels(); // resolved once per GEMM
-    parallelFor(n, [&](std::int64_t r) {
-        std::uint64_t *awRow = windows + r * numGroups * kWeightBits;
-        for (std::int64_t g = 0; g < numGroups; ++g) {
-            std::int64_t begin = weights.groupBegin(g);
-            int len = weights.groupMembers(g);
-            std::uint64_t *aw = awRow + g * kWeightBits;
-            for (int c = 0; c < kWeightBits; ++c)
-                aw[c] = activations.window(c, r, begin, len);
+    // Stage 1: stage each group's activation windows and sum of
+    // activations once per (sample pair, group); every weight row reuses
+    // them. A pair's block for one 32-column word is 16 uint32 lanes —
+    // the even sample's eight planes, then the odd sample's (zeros when
+    // n is odd) — one 64-byte line of the aligned arena. The caller's
+    // arena (normally the calling thread's engine::ScratchArena) grows
+    // to its high-water mark once, so a serving worker draining batch
+    // after batch pays no per-batch allocation. CRITICAL: parallelFor
+    // workers are fresh threads, and a lambda body naming a thread_local
+    // arena would resolve to the *worker's own* (empty) instance — so
+    // hand the workers raw pointers into the caller's buffers; they touch
+    // only disjoint slices.
+    scratch.reserve(n, numGroups, planeWords);
+    std::uint32_t *const windows = scratch.windows.data();
+    std::int32_t *const sums = scratch.sums.data();
+    const std::int64_t pairWindowWords = numGroups * planeWords * 16;
+    parallelFor(pairs, [&](std::int64_t p) {
+        for (int s = 0; s < 2; ++s) {
+            const std::int64_t r = 2 * p + s;
+            for (std::int64_t g = 0; g < numGroups; ++g) {
+                std::uint32_t *block = windows + p * pairWindowWords +
+                                       g * planeWords * 16 + 8 * s;
+                std::int32_t &sum = sums[(p * numGroups + g) * 2 + s];
+                if (r >= n) {
+                    for (int w = 0; w < planeWords; ++w)
+                        std::fill_n(block + 16 * w, kWeightBits, 0u);
+                    sum = 0;
+                    continue;
+                }
+                std::int64_t begin = weights.groupBegin(g);
+                int len = weights.groupMembers(g);
+                std::int64_t total = 0;
+                for (int c = 0; c < kWeightBits; ++c) {
+                    std::uint64_t win = activations.window(c, r, begin, len);
+                    total += columnWeight(c, kWeightBits) * std::popcount(win);
+                    for (int w = 0; w < planeWords; ++w)
+                        block[16 * w + c] =
+                            static_cast<std::uint32_t>(win >> (32 * w));
+                }
+                sum = static_cast<std::int32_t>(total);
+            }
         }
-        // One batched 8-plane weighted reduction over the whole row of
-        // windows — the per-window call would be latency-bound.
-        simd.weightedPlaneSumBatch(awRow, numGroups,
-                                   sums + r * numGroups);
-    }, 4);
+    }, 2);
 
-    // Stage 2: 2x2 register tiles (two weight rows x two samples), one
+    // Stage 2: register tiles of two weight rows x two sample pairs, one
     // dispatched call per tile over the whole row of groups. An odd last
-    // weight row or sample is passed twice, and its duplicate outputs
-    // store the same value twice. Each output is written by one task.
+    // weight row or pair is passed twice, and its duplicate outputs store
+    // the same value twice; the missing odd sample's outputs are dropped.
+    // Each output is written by one task.
+    const SimdKernels &simd = simdKernels(); // resolved once per GEMM
     auto rowRef = [&](std::int64_t o) {
-        std::size_t base = static_cast<std::size_t>(o * numGroups);
-        return CompressedRowRef{weights.packedGroups().data() + base,
-                                weights.shifts().data() + base,
-                                weights.constants().data() + base};
+        return CompressedRowRef{weights.groupPlanes(o, 0),
+                                weights.bits().data() + o * numGroups,
+                                weights.shifts().data() + o * numGroups,
+                                weights.constants().data() + o * numGroups};
     };
-    auto windowRef = [&](std::int64_t r) {
-        return WindowRowRef{windows + r * numGroups * kWeightBits,
-                            sums + r * numGroups};
+    auto pairRef = [&](std::int64_t p) {
+        return WindowPairRef{windows + p * pairWindowWords,
+                             sums + p * numGroups * 2};
     };
     parallelFor((k + 1) / 2, [&](std::int64_t t) {
-        std::int64_t o0 = 2 * t;
-        std::int64_t o1 = std::min(o0 + 1, k - 1);
-        const CompressedRowRef w[2] = {rowRef(o0), rowRef(o1)};
-        for (std::int64_t r0 = 0; r0 < n; r0 += 2) {
-            std::int64_t r1 = std::min(r0 + 1, n - 1);
-            const WindowRowRef a[2] = {windowRef(r0), windowRef(r1)};
-            std::int64_t acc[4];
-            simd.compressedGemmTile(w, a, numGroups, acc);
-            // kMaxGemmDepth keeps every exact sum inside INT32.
-            out.at(r0, o0) = static_cast<std::int32_t>(acc[0]);
-            out.at(r0, o1) = static_cast<std::int32_t>(acc[2]);
-            out.at(r1, o0) = static_cast<std::int32_t>(acc[1]);
-            out.at(r1, o1) = static_cast<std::int32_t>(acc[3]);
+        const std::int64_t o[2] = {2 * t, std::min(2 * t + 1, k - 1)};
+        const CompressedRowRef w[2] = {rowRef(o[0]), rowRef(o[1])};
+        for (std::int64_t p0 = 0; p0 < pairs; p0 += 2) {
+            const std::int64_t p[2] = {p0, std::min(p0 + 1, pairs - 1)};
+            const WindowPairRef a[2] = {pairRef(p[0]), pairRef(p[1])};
+            std::int32_t acc[8] = {};
+            simd.compressedGemmTile(w, a, numGroups, stride, planeWords,
+                                    acc);
+            for (int i = 0; i < 2; ++i)
+                for (int j = 0; j < 2; ++j)
+                    for (int s = 0; s < 2; ++s) {
+                        std::int64_t r = 2 * p[j] + s;
+                        if (r < n)
+                            out.at(r, o[i]) = acc[4 * i + 2 * j + s];
+                    }
         }
     }, 1);
 }

@@ -238,15 +238,15 @@ double
 Int8Network::effectiveBits() const
 {
     // storageBits of a group == storedBits * size + the metadata byte;
-    // the prepacked planes carry exactly those fields.
+    // the prepacked rows carry exactly those fields.
     double bits = 0.0, weights = 0.0;
     for (const auto &l : layers_) {
         const CompressedRowPlanes &p = *l.planes;
         for (std::int64_t o = 0; o < p.rows(); ++o) {
             for (std::int64_t g = 0; g < p.groupsPerRow(); ++g) {
-                const PackedGroup &pg = p.packedGroup(o, g);
-                bits += static_cast<double>(pg.bits) * pg.size + 8.0;
-                weights += static_cast<double>(pg.size);
+                double members = p.groupMembers(g);
+                bits += p.bits(o, g) * members + 8.0;
+                weights += members;
             }
         }
     }

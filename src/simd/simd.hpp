@@ -15,6 +15,11 @@
  *    with deferred byte->qword reduction (Harley-Seal-style accumulation);
  *  - **avx512**: 512-bit kernels using VPOPCNTDQ where the CPU has it.
  *
+ * Most shapes work on 64-bit plane words. The compressed GEMM's stage-2
+ * tile works on 32-bit plane words in int32 lanes (VPOPCNTD at avx512;
+ * the pshufb byte counts reduced to 32-bit lanes at avx2), because a
+ * group of up to 32 weights fills exactly one such word.
+ *
  * The active level is resolved once at startup: the highest level the CPU
  * supports, optionally lowered by the `BBS_SIMD=scalar|avx2|avx512`
  * environment variable (a request *above* what the CPU supports falls
@@ -43,35 +48,38 @@ enum class SimdLevel
     Avx512 = 2,
 };
 
-struct PackedGroup; // core/bitplane.hpp
-
 /**
  * One BBS-compressed weight row as the compressed GEMM's stage 2 reads
- * it: per group, the packed stored-column planes, the pruned-column
- * shift and the BBS constant (gemm/compressed_gemm.hpp's
- * CompressedRowPlanes arrays at the row's offset).
+ * it (gemm/compressed_gemm.hpp's CompressedRowPlanes arrays at the row's
+ * offset): per group, `stride` stored-plane slots of `planeWords` uint32
+ * words (slot b = stored bit column b; slots at and above the group's
+ * bit count are zero), its stored-bit count, pruned-column shift and BBS
+ * constant. Every group keeps bits + shift <= 8.
  */
 struct CompressedRowRef
 {
-    const PackedGroup *groups = nullptr;
+    const std::uint32_t *planes = nullptr;
+    const std::uint8_t *bits = nullptr;
     const std::int8_t *shifts = nullptr;
     const std::int32_t *constants = nullptr;
 };
 
 /**
- * One sample's stage-1 staging: per group, its 8-word activation window
- * (plane c = activation bit c over the group's columns) and its sum of
- * activations.
+ * One sample pair's stage-1 staging: per (group, 32-column word) one
+ * block of 16 uint32 lanes — lanes 0-7 the even sample's activation
+ * planes 0-7, lanes 8-15 the odd sample's — and per group the two
+ * samples' sums of activations, even first.
  */
-struct WindowRowRef
+struct WindowPairRef
 {
-    const std::uint64_t *windows = nullptr;
-    const std::int64_t *sums = nullptr;
+    const std::uint32_t *windows = nullptr;
+    const std::int32_t *sums = nullptr;
 };
 
 /**
- * One implementation of every kernel shape. All sums are exact int64
- * arithmetic — identical across levels for identical inputs.
+ * One implementation of every kernel shape. All sums are exact integer
+ * arithmetic (int64, or int32 where a slot says so) — identical across
+ * levels for identical inputs.
  */
 struct SimdKernels
 {
@@ -104,10 +112,10 @@ struct SimdKernels
      * The 8-plane weighted window reduction against a weight-plane word:
      * sum over activation planes c of 2^c * popcount(wb & aw[c]), the
      * sign plane (c = 7) weighing -2^7. The single-window building
-     * block: the library's hot paths run its amortized forms
-     * (compressedGroupDot over a group's planes, weightedPlaneSumBatch
-     * over a row of windows), while this slot stays dispatched as the
-     * reference shape the tests and benches pin those forms against.
+     * block: the library's hot paths run its amortized form
+     * (compressedGroupDot over a group's planes), while this slot stays
+     * dispatched as the reference shape the tests and benches pin that
+     * form against.
      */
     std::int64_t (*weightedPlaneDot)(std::uint64_t wb,
                                      const std::uint64_t *aw);
@@ -117,16 +125,6 @@ struct SimdKernels
      * aligned window planes (bit_serial_matrix's planeWindowSum).
      */
     std::int64_t (*weightedPlaneSum)(const std::uint64_t *aw);
-
-    /**
-     * weightedPlaneSum over @p count consecutive 8-word windows:
-     * out[i] = weightedPlaneSum(aw + 8 * i). The compressed GEMM's
-     * stage 1 computes a whole row of sum-of-activation terms per call,
-     * amortizing the call and reduction overhead a single 8-word window
-     * cannot.
-     */
-    void (*weightedPlaneSumBatch)(const std::uint64_t *aw,
-                                  std::int64_t count, std::int64_t *out);
 
     /**
      * Whole compressed-group dot: sum over stored weight planes b <
@@ -140,19 +138,25 @@ struct SimdKernels
 
     /**
      * The compressed GEMM's stage-2 register tile: two weight rows x two
-     * samples over @p numGroups groups. out[2 * i + j] is the exact
-     * sum over groups g of
-     *   (compressedGroupDot(w[i] group g, a[j] window g) << w[i] shift g)
-     *   + w[i] constant g * a[j] sum g,
-     * the rows sharing every window load and the samples every weight
-     * plane. Vector levels keep each output's eight per-activation-plane
-     * partial sums in lanes across all groups and weigh and reduce them
-     * once. Edge tiles pass a row or sample twice (w[1] == w[0] or
-     * a[1] == a[0]); the duplicate outputs are simply equal.
+     * sample pairs (four samples) over @p numGroups groups of
+     * @p stride plane slots of @p planeWords words. out[4 * i + 2 * j +
+     * s] is row w[i] against sample s of pair a[j]: the sum over groups
+     * g of
+     *   (sum over stored planes b, activation planes c, words of
+     *    columnWeight(b, bits) * columnWeight(c, 8) *
+     *    popcount(plane b word & window c word)) << shift g
+     *   + constant g * sum g,
+     * narrowed to int32 (exact within kMaxGemmDepth). Vector levels
+     * broadcast each weight plane word against both pairs' blocks, keep
+     * each output's eight per-activation-plane partial sums in int32
+     * lanes across all groups (|lane| <= depth * 2^7) and weigh and
+     * reduce them once. Edge tiles pass a row or pair twice (w[1] ==
+     * w[0] or a[1] == a[0]); the duplicate outputs are simply equal.
      */
     void (*compressedGemmTile)(const CompressedRowRef w[2],
-                               const WindowRowRef a[2],
-                               std::int64_t numGroups, std::int64_t out[4]);
+                               const WindowPairRef a[2],
+                               std::int64_t numGroups, int stride,
+                               int planeWords, std::int32_t out[8]);
 
     /**
      * BBS effectual-ops scan: sum over words of min(ones, groupSize -

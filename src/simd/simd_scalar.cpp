@@ -16,7 +16,6 @@
 #include <cstring>
 
 #include "common/bit_utils.hpp"
-#include "core/bitplane.hpp"
 
 namespace bbs {
 namespace detail {
@@ -111,14 +110,6 @@ weightedPlaneSumScalar(const std::uint64_t *aw)
     return s;
 }
 
-void
-weightedPlaneSumBatchScalar(const std::uint64_t *aw, std::int64_t count,
-                            std::int64_t *out)
-{
-    for (std::int64_t i = 0; i < count; ++i)
-        out[i] = weightedPlaneSumScalar(aw + i * kWeightBits);
-}
-
 std::int64_t
 compressedGroupDotScalar(const std::uint64_t *planes, int bits,
                          const std::uint64_t *aw)
@@ -134,23 +125,42 @@ compressedGroupDotScalar(const std::uint64_t *planes, int bits,
 }
 
 void
-compressedGemmTileScalar(const CompressedRowRef w[2], const WindowRowRef a[2],
-                         std::int64_t numGroups, std::int64_t out[4])
+compressedGemmTileScalar(const CompressedRowRef w[2],
+                         const WindowPairRef a[2], std::int64_t numGroups,
+                         int stride, int planeWords, std::int32_t out[8])
 {
-    // The oracle: the per-(group, sample) formula, written out.
+    // The oracle: the per-(group, sample) formula, written out over the
+    // 32-bit plane words.
     for (int i = 0; i < 2; ++i) {
         for (int j = 0; j < 2; ++j) {
-            std::int64_t acc = 0;
-            for (std::int64_t g = 0; g < numGroups; ++g) {
-                const PackedGroup &pg = w[i].groups[g];
-                acc += (compressedGroupDotScalar(pg.planes.data(), pg.bits,
-                                                 a[j].windows +
-                                                     g * kWeightBits)
-                        << w[i].shifts[g]) +
-                       static_cast<std::int64_t>(w[i].constants[g]) *
-                           a[j].sums[g];
+            for (int s = 0; s < 2; ++s) {
+                std::int64_t acc = 0;
+                for (std::int64_t g = 0; g < numGroups; ++g) {
+                    const std::uint32_t *planes =
+                        w[i].planes + g * stride * planeWords;
+                    int bits = w[i].bits[g];
+                    std::int64_t v = 0;
+                    for (int word = 0; word < planeWords; ++word) {
+                        const std::uint32_t *aw =
+                            a[j].windows + (g * planeWords + word) * 16 +
+                            8 * s;
+                        for (int b = 0; b < bits; ++b) {
+                            std::uint32_t wb = planes[b * planeWords + word];
+                            if (wb == 0)
+                                continue; // pruning leaves empty planes
+                            std::int64_t d = 0;
+                            for (int c = 0; c < kWeightBits; ++c)
+                                d += columnWeight(c, kWeightBits) *
+                                     std::popcount(wb & aw[c]);
+                            v += columnWeight(b, bits) * d;
+                        }
+                    }
+                    acc += v * (std::int64_t{1} << w[i].shifts[g]) +
+                           static_cast<std::int64_t>(w[i].constants[g]) *
+                               a[j].sums[2 * g + s];
+                }
+                out[4 * i + 2 * j + s] = static_cast<std::int32_t>(acc);
             }
-            out[2 * i + j] = acc;
         }
     }
 }
@@ -191,7 +201,6 @@ scalarKernels()
         &andPopcountTileScalar,
         &weightedPlaneDotScalar,
         &weightedPlaneSumScalar,
-        &weightedPlaneSumBatchScalar,
         &compressedGroupDotScalar,
         &compressedGemmTileScalar,
         &effectualOpsSumScalar,

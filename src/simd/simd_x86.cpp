@@ -14,20 +14,26 @@
  * byte accumulators are flushed to qwords every 31 blocks (31 * 8 < 256),
  * so no accumulator can saturate.
  *
- * The AVX2 table keeps the scalar weightedPlaneDot/weightedPlaneSum/
- * weightedPlaneSumBatch: an eight-word window is too small for a
- * 256-bit lookup popcount to beat eight scalar POPCNTs (measured
- * ~0.8-1.0x even batched), and an honest dispatch table should not
- * pretend otherwise — the per-group amortized forms (compressedGroupDot,
- * and the compressed GEMM's stage-2 tile compressedGemmTile) are where
- * AVX2 ekes out a win on that shape.
+ * The compressed GEMM's stage-2 tile (compressedGemmTile) runs on
+ * 32-bit plane words: VPOPCNTD over int32 lanes at AVX-512, and at AVX2
+ * the pshufb byte counts summed into 16-bit lanes for the Horner fold
+ * and widened to 32-bit lanes once per group. Its int32 lanes wrap
+ * exactly like the scalar oracle's narrowing to int32, so the levels
+ * agree on every input.
+ *
+ * The AVX2 table keeps the scalar weightedPlaneDot/weightedPlaneSum: an
+ * eight-word window is too small for a 256-bit lookup popcount to beat
+ * eight scalar POPCNTs (measured ~0.8-1.0x), and an honest dispatch
+ * table should not pretend otherwise — the per-group amortized forms
+ * (compressedGroupDot and compressedGemmTile) are where AVX2 ekes out a
+ * win on that shape.
  */
 #include "simd/simd.hpp"
 
 #include <algorithm>
 #include <bit>
 
-#include "core/bitplane.hpp"
+#include "common/bit_utils.hpp"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define BBS_SIMD_X86 1
@@ -377,66 +383,144 @@ compressedGroupDotAvx2(const std::uint64_t *planes, int bits,
     return weighActivationPlanesAvx2(accLo, accHi);
 }
 
-/**
- * One weight row's group against two samples' windows (@p va: sample 0
- * planes 0-3, 4-7, then sample 1's): Horner over the stored planes (the
- * sign plane enters negated, each lower plane after one doubling) gives
- * lane c = sum over b of columnWeight(b, bits) * popcount(planes[b] &
- * window[c]); it is shifted by the pruned-column count and added into
- * @p lanes (the same layout as @p va).
- */
-BBS_TARGET_AVX2 inline void
-foldGroupAvx2(const PackedGroup &pg, int shift, const __m256i va[4],
-              __m256i lanes[4])
+/** Per-16-bit-lane popcount: the pshufb byte counts, summed in
+ *  adjacent byte pairs. */
+BBS_TARGET_AVX2 inline __m256i
+popcnt16x16(__m256i v)
 {
-    const std::uint64_t *planes = pg.planes.data();
+    return _mm256_maddubs_epi16(popcntBytes256(v), _mm256_set1_epi8(1));
+}
+
+/**
+ * The activation-significance weighting of one sample's eight int32
+ * plane lanes: sum over c of 2^c * lane c, the sign lane (c = 7)
+ * negative, in wrapping int32 arithmetic.
+ */
+BBS_TARGET_AVX2 inline std::int32_t
+weighActivationPlanes32Avx2(__m256i lanes)
+{
+    __m256i sh = _mm256_sllv_epi32(lanes,
+                                   _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    __m256i sgn = _mm256_sign_epi32(
+        sh, _mm256_setr_epi32(1, 1, 1, 1, 1, 1, 1, -1));
+    __m128i s = _mm_add_epi32(_mm256_castsi256_si128(sgn),
+                              _mm256_extracti128_si256(sgn, 1));
+    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4e));
+    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xb1));
+    return _mm_cvtsi128_si32(s);
+}
+
+/**
+ * One weight row's group against two sample pairs' blocks (@p va[word]:
+ * pair 0 even sample, pair 0 odd, pair 1 even, pair 1 odd). Horner over
+ * the stored planes (the sign plane enters negated, each lower plane
+ * after one doubling) runs in 16-bit lanes — a 16-bit lane's popcount is
+ * at most 32 over two words, so |h| <= 32 * 2^7 fits — and one pmaddwd
+ * widens it to lane c = sum over b of columnWeight(b, bits) *
+ * popcount(plane b & window c) per sample. That is shifted by the
+ * pruned-column count and added into @p lanes (the layout of @p va).
+ */
+template <int PW>
+BBS_TARGET_AVX2 inline void
+foldGroupAvx2(const std::uint32_t *planes, int bits, int shift,
+              const __m256i (&va)[PW][4], __m256i (&lanes)[4])
+{
     const __m256i zero = _mm256_setzero_si256();
     __m256i h[4] = {zero, zero, zero, zero};
-    int b = pg.bits - 1;
+    int b = bits - 1;
     if (b >= 0) {
-        __m256i wb = _mm256_set1_epi64x(static_cast<long long>(planes[b]));
-        for (int v = 0; v < 4; ++v)
-            h[v] = _mm256_sub_epi64(
-                zero, popcnt64x4(_mm256_and_si256(va[v], wb)));
+        for (int word = 0; word < PW; ++word) {
+            __m256i wb = _mm256_set1_epi32(
+                static_cast<int>(planes[b * PW + word]));
+            for (int v = 0; v < 4; ++v)
+                h[v] = _mm256_sub_epi16(
+                    h[v], popcnt16x16(_mm256_and_si256(va[word][v], wb)));
+        }
     }
     for (--b; b >= 0; --b) {
-        __m256i wb = _mm256_set1_epi64x(static_cast<long long>(planes[b]));
         for (int v = 0; v < 4; ++v)
-            h[v] = _mm256_add_epi64(
-                _mm256_add_epi64(h[v], h[v]),
-                popcnt64x4(_mm256_and_si256(va[v], wb)));
+            h[v] = _mm256_add_epi16(h[v], h[v]);
+        for (int word = 0; word < PW; ++word) {
+            __m256i wb = _mm256_set1_epi32(
+                static_cast<int>(planes[b * PW + word]));
+            for (int v = 0; v < 4; ++v)
+                h[v] = _mm256_add_epi16(
+                    h[v], popcnt16x16(_mm256_and_si256(va[word][v], wb)));
+        }
     }
+    const __m256i ones16 = _mm256_set1_epi16(1);
     __m128i sh = _mm_cvtsi32_si128(shift);
     for (int v = 0; v < 4; ++v)
-        lanes[v] = _mm256_add_epi64(lanes[v], _mm256_sll_epi64(h[v], sh));
+        lanes[v] = _mm256_add_epi32(
+            lanes[v], _mm256_sll_epi32(_mm256_madd_epi16(h[v], ones16), sh));
+}
+
+template <int PW>
+BBS_TARGET_AVX2 void
+compressedGemmTileAvx2(const CompressedRowRef w[2], const WindowPairRef a[2],
+                       std::int64_t numGroups, int stride,
+                       std::int32_t out[8])
+{
+    // lanesI[2 * j + s]: output (row I, pair j, sample s)'s
+    // per-activation-plane partial sums, carried across every group and
+    // weighed and reduced once; cI lane 2 * j + s its constant x
+    // sum-of-activations term.
+    const CompressedRowRef w0 = w[0], w1 = w[1];
+    const WindowPairRef a0 = a[0], a1 = a[1];
+    const __m256i zero = _mm256_setzero_si256();
+    __m256i lanes0[4] = {zero, zero, zero, zero};
+    __m256i lanes1[4] = {zero, zero, zero, zero};
+    __m128i c0 = _mm_setzero_si128(), c1 = _mm_setzero_si128();
+    const std::int64_t groupWords = static_cast<std::int64_t>(stride) * PW;
+    for (std::int64_t g = 0; g < numGroups; ++g) {
+        __m256i va[PW][4] = {};
+        for (int word = 0; word < PW; ++word) {
+            const std::int64_t at = (g * PW + word) * 16;
+            va[word][0] = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(a0.windows + at));
+            va[word][1] = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(a0.windows + at + 8));
+            va[word][2] = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(a1.windows + at));
+            va[word][3] = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(a1.windows + at + 8));
+        }
+        foldGroupAvx2<PW>(w0.planes + g * groupWords, w0.bits[g],
+                          w0.shifts[g], va, lanes0);
+        foldGroupAvx2<PW>(w1.planes + g * groupWords, w1.bits[g],
+                          w1.shifts[g], va, lanes1);
+        __m128i sums = _mm_unpacklo_epi64(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(a0.sums + 2 * g)),
+            _mm_loadl_epi64(
+                reinterpret_cast<const __m128i *>(a1.sums + 2 * g)));
+        c0 = _mm_add_epi32(
+            c0, _mm_mullo_epi32(_mm_set1_epi32(w0.constants[g]), sums));
+        c1 = _mm_add_epi32(
+            c1, _mm_mullo_epi32(_mm_set1_epi32(w1.constants[g]), sums));
+    }
+    alignas(16) std::int32_t ct[8] = {};
+    _mm_store_si128(reinterpret_cast<__m128i *>(ct), c0);
+    _mm_store_si128(reinterpret_cast<__m128i *>(ct + 4), c1);
+    for (int v = 0; v < 4; ++v) {
+        out[v] = static_cast<std::int32_t>(
+            static_cast<std::uint32_t>(weighActivationPlanes32Avx2(lanes0[v])) +
+            static_cast<std::uint32_t>(ct[v]));
+        out[4 + v] = static_cast<std::int32_t>(
+            static_cast<std::uint32_t>(weighActivationPlanes32Avx2(lanes1[v])) +
+            static_cast<std::uint32_t>(ct[4 + v]));
+    }
 }
 
 BBS_TARGET_AVX2 void
-compressedGemmTileAvx2(const CompressedRowRef w[2], const WindowRowRef a[2],
-                       std::int64_t numGroups, std::int64_t out[4])
+compressedGemmTileAvx2Dispatch(const CompressedRowRef w[2],
+                               const WindowPairRef a[2],
+                               std::int64_t numGroups, int stride,
+                               int planeWords, std::int32_t out[8])
 {
-    // lanes[2 * (2 * i + j) + half]: output (row i, sample j)'s
-    // per-activation-plane partial sums, planes 0-3 then 4-7, carried
-    // across every group and weighed and reduced once.
-    const __m256i zero = _mm256_setzero_si256();
-    __m256i lanes[8] = {zero, zero, zero, zero, zero, zero, zero, zero};
-    std::int64_t constantTerm[4] = {0, 0, 0, 0};
-    for (std::int64_t g = 0; g < numGroups; ++g) {
-        __m256i va[4] = {zero, zero, zero, zero};
-        for (int v = 0; v < 4; ++v)
-            va[v] = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
-                a[v / 2].windows + g * kWeightBits + 4 * (v % 2)));
-        for (int i = 0; i < 2; ++i) {
-            foldGroupAvx2(w[i].groups[g], w[i].shifts[g], va, lanes + 4 * i);
-            for (int j = 0; j < 2; ++j)
-                constantTerm[2 * i + j] +=
-                    static_cast<std::int64_t>(w[i].constants[g]) *
-                    a[j].sums[g];
-        }
-    }
-    for (int t = 0; t < 4; ++t)
-        out[t] = weighActivationPlanesAvx2(lanes[2 * t], lanes[2 * t + 1]) +
-                 constantTerm[t];
+    if (planeWords == 1)
+        compressedGemmTileAvx2<1>(w, a, numGroups, stride, out);
+    else
+        compressedGemmTileAvx2<2>(w, a, numGroups, stride, out);
 }
 
 BBS_TARGET_AVX2 std::int64_t
@@ -652,21 +736,6 @@ weightedPlaneSumAvx512(const std::uint64_t *aw)
     return weightedPlaneReduceAvx512(_mm512_loadu_si512(aw));
 }
 
-BBS_TARGET_AVX512 void
-weightedPlaneSumBatchAvx512(const std::uint64_t *aw, std::int64_t count,
-                            std::int64_t *out)
-{
-    const __m512i shifts = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
-    const __m512i zero = _mm512_setzero_si512();
-    for (std::int64_t i = 0; i < count; ++i) {
-        __m512i pc = _mm512_popcnt_epi64(_mm512_loadu_si512(aw + i * 8));
-        __m512i sh = _mm512_sllv_epi64(pc, shifts);
-        __m512i sgn = _mm512_mask_sub_epi64(
-            sh, static_cast<__mmask8>(0x80), zero, sh);
-        out[i] = _mm512_reduce_add_epi64(sgn);
-    }
-}
-
 BBS_TARGET_AVX512 std::int64_t
 compressedGroupDotAvx512(const std::uint64_t *planes, int bits,
                          const std::uint64_t *aw)
@@ -689,71 +758,125 @@ compressedGroupDotAvx512(const std::uint64_t *planes, int bits,
     return weighActivationPlanesAvx512(acc);
 }
 
-/** AND+popcount of one weight plane against a window: lane c =
- *  popcount(@p wb & window[c]). */
+/** AND+popcount of one broadcast weight plane word against a pair
+ *  block: lane (s, c) = popcount(@p wb & window c of sample s). */
 BBS_TARGET_AVX512 inline __m512i
-planePopcountAvx512(__m512i window, __m512i wb)
+planePopcount32Avx512(__m512i block, __m512i wb)
 {
-    return _mm512_popcnt_epi64(_mm512_and_si512(window, wb));
+    return _mm512_popcnt_epi32(_mm512_and_si512(block, wb));
 }
 
 /**
- * One weight row's group against two samples' windows: Horner over the
- * stored planes (the sign plane enters negated, each lower plane after
- * one doubling) gives lane c = sum over b of columnWeight(b, bits) *
- * popcount(planes[b] & window[c]); it is shifted by the pruned-column
- * count and added into @p lanes0 / @p lanes1.
+ * One weight row's group against two sample pairs' blocks (@p va[word]
+ * [pair]): Horner over the stored planes (the sign plane enters negated,
+ * each lower plane after one doubling) gives lane (s, c) = sum over b of
+ * columnWeight(b, bits) * popcount(plane b & window c of sample s),
+ * summed over the words; it is shifted by the pruned-column count and
+ * added into @p lanes0 / @p lanes1.
  */
+template <int PW>
 BBS_TARGET_AVX512 inline void
-foldGroupAvx512(const PackedGroup &pg, int shift, __m512i va0, __m512i va1,
-                __m512i &lanes0, __m512i &lanes1)
+foldGroupAvx512(const std::uint32_t *planes, int bits, int shift,
+                const __m512i (&va)[PW][2], __m512i &lanes0,
+                __m512i &lanes1)
 {
-    const std::uint64_t *planes = pg.planes.data();
     __m512i h0 = _mm512_setzero_si512(), h1 = _mm512_setzero_si512();
-    int b = pg.bits - 1;
-    if (b >= 0) {
-        __m512i wb = _mm512_set1_epi64(static_cast<long long>(planes[b]));
-        h0 = _mm512_sub_epi64(h0, planePopcountAvx512(va0, wb));
-        h1 = _mm512_sub_epi64(h1, planePopcountAvx512(va1, wb));
+    for (int b = bits - 1; b >= 0; --b) {
+        __m512i p0 = _mm512_setzero_si512(), p1 = _mm512_setzero_si512();
+        for (int word = 0; word < PW; ++word) {
+            __m512i wb = _mm512_set1_epi32(
+                static_cast<int>(planes[b * PW + word]));
+            p0 = _mm512_add_epi32(p0, planePopcount32Avx512(va[word][0], wb));
+            p1 = _mm512_add_epi32(p1, planePopcount32Avx512(va[word][1], wb));
+        }
+        if (b == bits - 1) { // the stored sign column weighs -2^b
+            h0 = _mm512_sub_epi32(h0, p0);
+            h1 = _mm512_sub_epi32(h1, p1);
+        } else {
+            h0 = _mm512_add_epi32(_mm512_add_epi32(h0, h0), p0);
+            h1 = _mm512_add_epi32(_mm512_add_epi32(h1, h1), p1);
+        }
     }
-    for (--b; b >= 0; --b) {
-        __m512i wb = _mm512_set1_epi64(static_cast<long long>(planes[b]));
-        h0 = _mm512_add_epi64(_mm512_add_epi64(h0, h0),
-                              planePopcountAvx512(va0, wb));
-        h1 = _mm512_add_epi64(_mm512_add_epi64(h1, h1),
-                              planePopcountAvx512(va1, wb));
+    __m128i sh = _mm_cvtsi32_si128(shift);
+    lanes0 = _mm512_add_epi32(lanes0, _mm512_sll_epi32(h0, sh));
+    lanes1 = _mm512_add_epi32(lanes1, _mm512_sll_epi32(h1, sh));
+}
+
+/** The activation-significance weighting of a pair block's lanes, then
+ *  each sample's eight-lane reduction: lane (s, c) weighs 2^c, the sign
+ *  lanes (c = 7) negative. Writes sample 0's sum to @p out[0] and sample
+ *  1's to @p out[1], each plus its constant term in @p constantTerm. */
+BBS_TARGET_AVX512 inline void
+weighPairAvx512(__m512i lanes, const std::int32_t constantTerm[2],
+                std::int32_t out[2])
+{
+    const __m512i shifts =
+        _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7);
+    __m512i sh = _mm512_sllv_epi32(lanes, shifts);
+    __m512i sgn = _mm512_mask_sub_epi32(sh, static_cast<__mmask16>(0x8080),
+                                        _mm512_setzero_si512(), sh);
+    for (int s = 0; s < 2; ++s)
+        out[s] = static_cast<std::int32_t>(
+            static_cast<std::uint32_t>(_mm512_mask_reduce_add_epi32(
+                static_cast<__mmask16>(0xffu << (8 * s)), sgn)) +
+            static_cast<std::uint32_t>(constantTerm[s]));
+}
+
+template <int PW>
+BBS_TARGET_AVX512 void
+compressedGemmTileAvx512(const CompressedRowRef w[2],
+                         const WindowPairRef a[2], std::int64_t numGroups,
+                         int stride, std::int32_t out[8])
+{
+    // lIJ lane 8 * s + c: output (row I, pair J, sample s)'s
+    // activation-plane-c partial sum, carried across every group and
+    // weighed and reduced once; cI lane 2 * J + s its constant x
+    // sum-of-activations term. Named registers, not arrays: indexed
+    // accumulators would round-trip through memory every group.
+    const CompressedRowRef w0 = w[0], w1 = w[1];
+    const WindowPairRef a0 = a[0], a1 = a[1];
+    __m512i l00 = _mm512_setzero_si512(), l01 = _mm512_setzero_si512();
+    __m512i l10 = _mm512_setzero_si512(), l11 = _mm512_setzero_si512();
+    __m128i c0 = _mm_setzero_si128(), c1 = _mm_setzero_si128();
+    const std::int64_t groupWords = static_cast<std::int64_t>(stride) * PW;
+    for (std::int64_t g = 0; g < numGroups; ++g) {
+        __m512i va[PW][2] = {};
+        for (int word = 0; word < PW; ++word) {
+            va[word][0] = _mm512_loadu_si512(a0.windows + (g * PW + word) * 16);
+            va[word][1] = _mm512_loadu_si512(a1.windows + (g * PW + word) * 16);
+        }
+        foldGroupAvx512<PW>(w0.planes + g * groupWords, w0.bits[g],
+                            w0.shifts[g], va, l00, l01);
+        foldGroupAvx512<PW>(w1.planes + g * groupWords, w1.bits[g],
+                            w1.shifts[g], va, l10, l11);
+        __m128i sums = _mm_unpacklo_epi64(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(a0.sums + 2 * g)),
+            _mm_loadl_epi64(
+                reinterpret_cast<const __m128i *>(a1.sums + 2 * g)));
+        c0 = _mm_add_epi32(
+            c0, _mm_mullo_epi32(_mm_set1_epi32(w0.constants[g]), sums));
+        c1 = _mm_add_epi32(
+            c1, _mm_mullo_epi32(_mm_set1_epi32(w1.constants[g]), sums));
     }
-    __m512i sh = _mm512_set1_epi64(shift);
-    lanes0 = _mm512_add_epi64(lanes0, _mm512_sllv_epi64(h0, sh));
-    lanes1 = _mm512_add_epi64(lanes1, _mm512_sllv_epi64(h1, sh));
+    alignas(16) std::int32_t ct[8] = {};
+    _mm_store_si128(reinterpret_cast<__m128i *>(ct), c0);
+    _mm_store_si128(reinterpret_cast<__m128i *>(ct + 4), c1);
+    weighPairAvx512(l00, ct, out);
+    weighPairAvx512(l01, ct + 2, out + 2);
+    weighPairAvx512(l10, ct + 4, out + 4);
+    weighPairAvx512(l11, ct + 6, out + 6);
 }
 
 BBS_TARGET_AVX512 void
-compressedGemmTileAvx512(const CompressedRowRef w[2],
-                         const WindowRowRef a[2], std::int64_t numGroups,
-                         std::int64_t out[4])
+compressedGemmTileAvx512Dispatch(const CompressedRowRef w[2],
+                                 const WindowPairRef a[2],
+                                 std::int64_t numGroups, int stride,
+                                 int planeWords, std::int32_t out[8])
 {
-    // lIJ lane c: output (row I, sample J)'s activation-plane-c partial
-    // sum, carried across every group and weighed and reduced once.
-    const __m512i zero = _mm512_setzero_si512();
-    __m512i l00 = zero, l01 = zero, l10 = zero, l11 = zero;
-    std::int64_t c00 = 0, c01 = 0, c10 = 0, c11 = 0;
-    for (std::int64_t g = 0; g < numGroups; ++g) {
-        __m512i va0 = _mm512_loadu_si512(a[0].windows + g * kWeightBits);
-        __m512i va1 = _mm512_loadu_si512(a[1].windows + g * kWeightBits);
-        foldGroupAvx512(w[0].groups[g], w[0].shifts[g], va0, va1, l00, l01);
-        foldGroupAvx512(w[1].groups[g], w[1].shifts[g], va0, va1, l10, l11);
-        std::int64_t k0 = w[0].constants[g], k1 = w[1].constants[g];
-        std::int64_t s0 = a[0].sums[g], s1 = a[1].sums[g];
-        c00 += k0 * s0;
-        c01 += k0 * s1;
-        c10 += k1 * s0;
-        c11 += k1 * s1;
-    }
-    out[0] = weighActivationPlanesAvx512(l00) + c00;
-    out[1] = weighActivationPlanesAvx512(l01) + c01;
-    out[2] = weighActivationPlanesAvx512(l10) + c10;
-    out[3] = weighActivationPlanesAvx512(l11) + c11;
+    if (planeWords == 1)
+        compressedGemmTileAvx512<1>(w, a, numGroups, stride, out);
+    else
+        compressedGemmTileAvx512<2>(w, a, numGroups, stride, out);
 }
 
 BBS_TARGET_AVX512 std::int64_t
@@ -803,9 +926,8 @@ const SimdKernels avx512Table = {
     &andPopcountTileAvx512,
     &weightedPlaneDotAvx512,
     &weightedPlaneSumAvx512,
-    &weightedPlaneSumBatchAvx512,
     &compressedGroupDotAvx512,
-    &compressedGemmTileAvx512,
+    &compressedGemmTileAvx512Dispatch,
     &effectualOpsSumAvx512,
     &sparseBitsSumAvx512,
 };
@@ -844,9 +966,8 @@ avx2KernelsOrNull()
             &andPopcountTileAvx2,
             scalarKernels().weightedPlaneDot,
             scalarKernels().weightedPlaneSum,
-            scalarKernels().weightedPlaneSumBatch,
             &compressedGroupDotAvx2,
-            &compressedGemmTileAvx2,
+            &compressedGemmTileAvx2Dispatch,
             &effectualOpsSumAvx2,
             &sparseBitsSumAvx2,
         };

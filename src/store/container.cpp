@@ -18,21 +18,15 @@
 namespace bbs::store {
 
 // The payload sections are reinterpreted in place, so the file format
-// is pinned to these layouts; containerLayoutTag() rejects containers
-// written by a build where any of them moved.
-static_assert(sizeof(PackedGroup) == 2 * kCacheLineBytes,
-              "PackedGroup layout is part of the container format");
-static_assert(offsetof(PackedGroup, planes) == 0);
-static_assert(offsetof(PackedGroup, size) == 64);
-static_assert(offsetof(PackedGroup, bits) == 68);
+// is pinned to these widths; containerLayoutTag() rejects containers
+// written by a build where any of them changed.
 static_assert(kWeightBits == 8);
 
 std::uint64_t
 containerLayoutTag()
 {
-    return (static_cast<std::uint64_t>(sizeof(PackedGroup)) << 32) |
-           (static_cast<std::uint64_t>(offsetof(PackedGroup, size)) << 24) |
-           (static_cast<std::uint64_t>(offsetof(PackedGroup, bits)) << 16) |
+    return (static_cast<std::uint64_t>(sizeof(std::uint32_t)) << 24) |
+           (static_cast<std::uint64_t>(sizeof(std::uint64_t)) << 16) |
            (static_cast<std::uint64_t>(kRowPlaneWordAlign) << 8) |
            static_cast<std::uint64_t>(kWeightBits);
 }
@@ -153,14 +147,16 @@ appendOperandSections(const engine::PackedOperand &op, std::uint32_t index,
         return;
     }
     const CompressedRowPlanes &p = op.compressedRows();
+    meta.stride = static_cast<std::uint32_t>(p.stride());
     meta.groupSize = p.groupSize();
     meta.groupsPerRow = p.groupsPerRow();
     metas.push_back(meta);
     sections.push_back({SectionKind::OperandMeta, index, &metas.back(),
                         sizeof(OperandMetaSection)});
-    sections.push_back({SectionKind::Groups, index,
-                        p.packedGroups().data(),
-                        p.packedGroups().size_bytes()});
+    sections.push_back({SectionKind::Planes, index, p.planes().data(),
+                        p.planes().size_bytes()});
+    sections.push_back({SectionKind::Bits, index, p.bits().data(),
+                        p.bits().size_bytes()});
     sections.push_back({SectionKind::Shifts, index, p.shifts().data(),
                         p.shifts().size_bytes()});
     sections.push_back({SectionKind::Constants, index,
@@ -292,7 +288,9 @@ MappedContainer::tryOpen(const std::string &path,
     if (header.magic != kContainerMagic)
         return fail("not a BBMS container (bad magic)");
     if (header.version != kContainerVersion)
-        return fail("unsupported container version ", header.version);
+        return fail("unsupported container version ", header.version,
+                    " (this build reads version ", kContainerVersion,
+                    "; re-pack the model)");
     if (header.headerBytes != sizeof(FileHeader))
         return fail("corrupt container: bad header size");
     if (header.fileBytes != bytes)
@@ -396,10 +394,11 @@ MappedContainer::tryOpen(const std::string &path,
 
         if (meta.packKind ==
             static_cast<std::uint32_t>(engine::PackKind::DenseBitPlanes)) {
-            if (meta.colWords !=
-                BitSerialMatrix::paddedColWords(meta.cols))
+            if (meta.stride != 0 ||
+                meta.colWords !=
+                    BitSerialMatrix::paddedColWords(meta.cols))
                 return fail("corrupt container: operand ", i,
-                            " dense col-word count mismatch");
+                            " dense metadata mismatch");
             const DirEntry *words = findSection(SectionKind::DenseWords,
                                                 i);
             std::uint64_t wordCount, wordBytes;
@@ -427,64 +426,79 @@ MappedContainer::tryOpen(const std::string &path,
                     (meta.cols + meta.groupSize - 1) / meta.groupSize)
                 return fail("corrupt container: operand ", i,
                             " group structure mismatch");
+            if (meta.stride < 1 || meta.stride > kWeightBits)
+                return fail("corrupt container: operand ", i,
+                            " plane stride ", meta.stride,
+                            " out of range 1..", kWeightBits);
             if (!(meta.meanStoredBits >= 0.0 &&
                   meta.meanStoredBits <= 8.0))
                 return fail("corrupt container: operand ", i,
                             " stored-bit mean out of range");
-            std::uint64_t count, groupBytes, constBytes;
+            const int planeWords =
+                CompressedRowPlanes::planeWordsFor(meta.groupSize);
+            std::uint64_t count, planeBytes, constBytes;
             if (!mulOk(static_cast<std::uint64_t>(meta.rows),
                        static_cast<std::uint64_t>(meta.groupsPerRow),
                        count) ||
-                !mulOk(count, sizeof(PackedGroup), groupBytes) ||
+                !mulOk(count,
+                       static_cast<std::uint64_t>(meta.stride) *
+                           static_cast<std::uint64_t>(planeWords) *
+                           sizeof(std::uint32_t),
+                       planeBytes) ||
                 !mulOk(count, sizeof(std::int32_t), constBytes))
                 return fail("corrupt container: operand ", i,
                             " group count overflows");
-            const DirEntry *groups = findSection(SectionKind::Groups, i);
+            const DirEntry *planes = findSection(SectionKind::Planes, i);
+            const DirEntry *bits = findSection(SectionKind::Bits, i);
             const DirEntry *shifts = findSection(SectionKind::Shifts, i);
             const DirEntry *constants =
                 findSection(SectionKind::Constants, i);
-            if (groups == nullptr || groups->length != groupBytes ||
+            if (planes == nullptr || planes->length != planeBytes ||
+                bits == nullptr || bits->length != count ||
                 shifts == nullptr || shifts->length != count ||
                 constants == nullptr || constants->length != constBytes)
                 return fail("corrupt container: operand ", i,
                             " compressed extents mismatch");
 
-            // Hostile payload scan — the two fields the kernels index
-            // and shift by. bits > 8 would read past the 8-plane array
-            // inside compressedGroupDot; a group size differing from
-            // the column tiling would make decompress() write out of
-            // bounds; shifts outside 0..8 are shift-UB. This pass
-            // touches only the 128-byte group descriptors and the
-            // shift bytes, not the dense plane words.
-            const auto *pg = reinterpret_cast<const PackedGroup *>(
-                c->base_ + groups->offset);
+            // Hostile payload scan over the two per-group fields the
+            // kernels index and shift by: bits > stride would read the
+            // next group's plane slots; shifts outside 0..8 are
+            // shift-UB in decompress; bits + shift > 8 would let the
+            // GEMM's int32 lanes leave their exact range. Member counts
+            // derive from groupSize and cols, so no field can make a
+            // group overrun its columns. This pass reads two bytes per
+            // group, never the plane words.
+            const auto *bitsBase = c->base_ + bits->offset;
             const auto *sh = reinterpret_cast<const std::int8_t *>(
                 c->base_ + shifts->offset);
-            std::int64_t groupsPerRow = meta.groupsPerRow;
             for (std::uint64_t g = 0; g < count; ++g) {
-                std::int64_t inRow =
-                    static_cast<std::int64_t>(g) % groupsPerRow;
-                std::int64_t members = std::min<std::int64_t>(
-                    meta.groupSize, meta.cols - inRow * meta.groupSize);
-                if (pg[g].size != members)
+                if (bitsBase[g] > meta.stride)
                     return fail("corrupt container: operand ", i,
-                                " group ", g, " size ", pg[g].size,
-                                " does not tile the columns");
-                if (pg[g].bits < 0 || pg[g].bits > kWeightBits)
-                    return fail("corrupt container: operand ", i,
-                                " group ", g, " claims ", pg[g].bits,
-                                " stored bit planes");
+                                " group ", g, " claims ",
+                                static_cast<int>(bitsBase[g]),
+                                " stored bit planes of stride ",
+                                meta.stride);
                 if (sh[g] < 0 || sh[g] > kWeightBits)
                     return fail("corrupt container: operand ", i,
                                 " group ", g, " shift ",
                                 static_cast<int>(sh[g]),
                                 " out of range");
+                if (bitsBase[g] + sh[g] > kWeightBits)
+                    return fail("corrupt container: operand ", i,
+                                " group ", g, " stores ",
+                                static_cast<int>(bitsBase[g]),
+                                " bits over shift ",
+                                static_cast<int>(sh[g]),
+                                ", more than ", kWeightBits);
             }
             c->rowViews_[i] = CompressedRowPlanes::viewExternal(
-                pg, sh,
+                reinterpret_cast<const std::uint32_t *>(c->base_ +
+                                                        planes->offset),
+                bitsBase, sh,
                 reinterpret_cast<const std::int32_t *>(
                     c->base_ + constants->offset),
-                meta.rows, meta.cols, meta.groupSize);
+                meta.rows, meta.cols, meta.groupSize,
+                static_cast<int>(meta.stride));
             c->operandViews_[i] = engine::PackedOperand::mappedCompressed(
                 std::shared_ptr<const CompressedRowPlanes>(
                     std::shared_ptr<void>(), &c->rowViews_[i]),

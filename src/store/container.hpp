@@ -3,10 +3,13 @@
  * BBMS — the page-aligned, mmap-backed model container: a
  * fixed 64-byte header, a directory of typed (kind, index, offset,
  * length) extents, and page-aligned payload sections whose byte layout
- * matches the in-memory cache-line-aligned packings EXACTLY —
- * BitSerialMatrix plane words for dense operands, PackedGroup /
- * shift / constant arrays for compressed rows, raw float arrays for the
- * per-layer scales and biases.
+ * matches the in-memory packings EXACTLY — BitSerialMatrix plane words
+ * for dense operands; for compressed rows the four CompressedRowPlanes
+ * arrays (Planes: `stride` uint32 plane slots of `planeWords` words per
+ * group; Bits, Shifts: one byte per group; Constants: one int32 per
+ * group); raw float arrays for the per-layer scales and biases. At group
+ * 32 with four pruned columns a compressed weight costs 22 bytes per 32
+ * weights, 5.5 bits per weight.
  *
  * Because the payload IS the in-memory layout, loading a model is
  * `mmap` + directory validation + pointer fixup: zero deserialization,
@@ -19,16 +22,21 @@
  * column-serial DRAM layout (core/serialization.hpp) stays the
  * accelerator model's view of a weight stream.
  *
+ * The bytes of a container depend only on the model: unused plane slots
+ * and every reserved field are zero, so two builds of one model write
+ * identical files.
+ *
  * `MappedContainer::tryOpen` is non-fatal: the container is UNTRUSTED
  * INPUT, and every malformed shape — truncated directory, overlapping or
- * out-of-bounds extents, misaligned offsets, bad magic/version,
- * hostile PackedGroup fields (bits > 8 would index past the 8-plane
- * array inside the SIMD dot kernels; shifts outside 0..8 would be
- * shift-UB in decompress) — is rejected with a diagnostic, never UB
- * (tests/test_store.cpp fuzzes this). Validation reads only the
- * directory and the small metadata sections plus one pass over the
- * group descriptor fields; it never touches the dense plane words, so
- * open cost stays page-fault-bound, not size-bound.
+ * out-of-bounds extents, misaligned offsets, bad magic/version, a
+ * Planes extent that disagrees with rows x groups x stride x planeWords,
+ * hostile per-group fields (bits > stride would read the next group's
+ * planes; shifts outside 0..8 would be shift-UB in decompress; bits +
+ * shift > 8 would break the GEMM's exact int32 lanes) — is rejected
+ * with a diagnostic, never UB (tests/test_store.cpp fuzzes this).
+ * Validation reads only the directory, the small metadata sections and
+ * the Bits and Shifts arrays (two bytes per group); it never touches the
+ * plane words, so open cost stays page-fault-bound, not size-bound.
  *
  * The writers (`writeModelContainer` / `writeOperandContainer`; the
  * first is surfaced as `bbs_cli store-pack`) write in-memory networks
@@ -51,7 +59,9 @@ namespace bbs::store {
 
 /** "BBMS" little-endian. */
 inline constexpr std::uint32_t kContainerMagic = 0x534d4242u;
-inline constexpr std::uint32_t kContainerVersion = 1;
+/** Version 2: compact compressed rows (Planes / Bits sections). A
+ *  version-1 container (128-byte group records) is refused at open. */
+inline constexpr std::uint32_t kContainerVersion = 2;
 /** Payload sections start on multiples of this (one page: the mmap
  *  granularity, and a multiple of the 64-byte alignment every kernel
  *  pointer guarantee needs). */
@@ -59,8 +69,9 @@ inline constexpr std::uint32_t kContainerAlign = 4096;
 
 /**
  * Fingerprint of the in-memory layout the payload bytes mirror. A
- * container written by a build whose PackedGroup layout (or weight bit
- * width) differs is rejected at open instead of being reinterpreted.
+ * container written by a build whose plane-word widths, dense row
+ * alignment or weight bit width differ is rejected at open instead of
+ * being reinterpreted.
  */
 std::uint64_t containerLayoutTag();
 
@@ -72,9 +83,12 @@ enum class SectionKind : std::uint32_t
     Bias = 3,        ///< float[outFeatures], index = layer
     OperandMeta = 4, ///< OperandMetaSection, index = operand
     DenseWords = 5,  ///< uint64[8 * rows * colWords], index = operand
-    Groups = 6,      ///< PackedGroup[rows * groupsPerRow], index = operand
-    Shifts = 7,      ///< int8[rows * groupsPerRow], index = operand
-    Constants = 8,   ///< int32[rows * groupsPerRow], index = operand
+    /** uint32[rows * groupsPerRow * stride * planeWords], index =
+     *  operand */
+    Planes = 6,
+    Bits = 7,        ///< uint8[rows * groupsPerRow], index = operand
+    Shifts = 8,      ///< int8[rows * groupsPerRow], index = operand
+    Constants = 9,   ///< int32[rows * groupsPerRow], index = operand
 };
 
 /** Fixed 64-byte file header (all fields little-endian). */
@@ -134,7 +148,7 @@ static_assert(sizeof(LayerMetaSection) == 40);
 struct OperandMetaSection
 {
     std::uint32_t packKind = 0; ///< engine::PackKind
-    std::uint32_t reserved = 0;
+    std::uint32_t stride = 0;   ///< compressed only: plane slots, 1..8
     std::int64_t rows = 0;
     std::int64_t cols = 0;
     std::int64_t colWords = 0;     ///< dense only

@@ -276,7 +276,8 @@ TEST(PlanExecutionTest, PackedActivationsAtBatchOneFallBack)
 
 // ------------------------------------------------------- packed planes
 
-/** Field-by-field plane equality (PackedGroup has padding bytes). */
+/** Equality of the compact row arrays: plane words, bits, shifts and
+ *  constants, element by element. */
 void
 expectSamePlanes(const CompressedRowPlanes &got,
                  const CompressedRowPlanes &want, const std::string &what)
@@ -285,12 +286,13 @@ expectSamePlanes(const CompressedRowPlanes &got,
     ASSERT_EQ(got.cols(), want.cols()) << what;
     ASSERT_EQ(got.groupSize(), want.groupSize()) << what;
     ASSERT_EQ(got.groupsPerRow(), want.groupsPerRow()) << what;
-    for (std::size_t i = 0; i < want.packedGroups().size(); ++i) {
-        const PackedGroup &a = got.packedGroups()[i];
-        const PackedGroup &b = want.packedGroups()[i];
-        ASSERT_EQ(a.planes, b.planes) << what << " group " << i;
-        ASSERT_EQ(a.bits, b.bits) << what << " group " << i;
-        ASSERT_EQ(a.size, b.size) << what << " group " << i;
+    ASSERT_EQ(got.stride(), want.stride()) << what;
+    ASSERT_EQ(got.planeWords(), want.planeWords()) << what;
+    ASSERT_EQ(got.planes().size(), want.planes().size()) << what;
+    for (std::size_t i = 0; i < want.planes().size(); ++i)
+        ASSERT_EQ(got.planes()[i], want.planes()[i]) << what << " word " << i;
+    for (std::size_t i = 0; i < want.bits().size(); ++i) {
+        ASSERT_EQ(got.bits()[i], want.bits()[i]) << what << " group " << i;
         ASSERT_EQ(got.shifts()[i], want.shifts()[i]) << what << " " << i;
         ASSERT_EQ(got.constants()[i], want.constants()[i])
             << what << " group " << i;

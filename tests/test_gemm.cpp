@@ -263,15 +263,17 @@ TEST(GemmCompressedTest, PrepareFromCompressedTensor)
 TEST(GemmCompressedTest, DeepRowsMatchReferenceOnDecompressedWeights)
 {
     // Rows of many groups: stage 2's lane sums carry across 96 groups
-    // of 32, and across 16 groups of 64 ending in a 40-column tail. An
-    // odd sample and weight-row count leaves edge tiles in both.
+    // of 32, across 16 groups of 64 ending in a 40-column tail, and
+    // across 64 groups of 64 (two plane words per slot). Odd sample and
+    // weight-row counts leave edge tiles and a missing odd sample.
     Rng rng(1212);
     struct DeepShape
     {
         std::int64_t n, k, c, groupSize;
     };
     for (DeepShape s : {DeepShape{17, 129, 3072, 32},
-                        DeepShape{3, 5, 1000, 64}}) {
+                        DeepShape{3, 5, 1000, 64},
+                        DeepShape{9, 33, 4096, 64}}) {
         for (PruneStrategy strategy : {PruneStrategy::RoundedAveraging,
                                        PruneStrategy::ZeroPointShifting}) {
             CompressedRowPlanes planes = CompressedRowPlanes::compress(
@@ -295,25 +297,46 @@ TEST(GemmCompressedTest, ExtremeProductsAtMaxDepthStayExact)
     // -128 against the most negative storable weight, -128 (stored -16
     // over 3 pruned columns), at depth kMaxGemmDepth. Each output is
     // 128 * 128 * (2^17 - 1) = 2^31 - 2^14, inside INT32 only by the
-    // depth limit, so the lane sums and the narrowing must be exact.
+    // depth limit, and the sign-plane lane reaches -128 * depth, just
+    // inside the int32 lanes' 2^24 bound, so the lane sums and the
+    // narrowing must be exact — at one plane word per slot and at two.
     Int8Tensor w(Shape{3, kMaxGemmDepth});
     Int8Tensor a(Shape{3, kMaxGemmDepth});
     for (std::int64_t i = 0; i < w.numel(); ++i)
         w.flat(i) = -128;
     for (std::int64_t i = 0; i < a.numel(); ++i)
         a.flat(i) = -128;
-    CompressedRowPlanes planes = CompressedRowPlanes::compress(
-        w, 32, 3, PruneStrategy::RoundedAveraging);
-    ASSERT_EQ(planes.packedGroup(0, 0).bits, 5);
-    ASSERT_EQ(planes.shift(0, 0), 3);
-    Int32Tensor got =
-        engine::matmulCompressed(planes, BitSerialMatrix::pack(a));
-    Int32Tensor ref = gemmReferenceBatch(a, planes.decompress());
     const std::int64_t want = 128 * 128 * kMaxGemmDepth;
-    for (std::int64_t i = 0; i < ref.numel(); ++i) {
-        ASSERT_EQ(static_cast<std::int64_t>(got.flat(i)), want) << "i=" << i;
-        ASSERT_EQ(ref.flat(i), got.flat(i)) << "i=" << i;
+    for (std::int64_t groupSize : {32, 64}) {
+        CompressedRowPlanes planes = CompressedRowPlanes::compress(
+            w, groupSize, 3, PruneStrategy::RoundedAveraging);
+        ASSERT_EQ(planes.bits(0, 0), 5);
+        ASSERT_EQ(planes.shift(0, 0), 3);
+        Int32Tensor got =
+            engine::matmulCompressed(planes, BitSerialMatrix::pack(a));
+        Int32Tensor ref = gemmReferenceBatch(a, planes.decompress());
+        for (std::int64_t i = 0; i < ref.numel(); ++i) {
+            ASSERT_EQ(static_cast<std::int64_t>(got.flat(i)), want)
+                << "group " << groupSize << " i=" << i;
+            ASSERT_EQ(ref.flat(i), got.flat(i))
+                << "group " << groupSize << " i=" << i;
+        }
     }
+}
+
+TEST(GemmCompressedDeathTest, PrepareRefusesGroupsPastTheLaneBound)
+{
+    // bits + shift <= 8 bounds every stored value times 2^shift by 2^7,
+    // which keeps stage 2's int32 lanes exact; prepare() refuses a group
+    // that breaks it.
+    CompressedGroup cg;
+    cg.storedBits = 6;
+    cg.prunedColumns = 3;
+    cg.stored.assign(32, 1);
+    const std::vector<std::int64_t> offsets{0, 1};
+    EXPECT_DEATH(CompressedRowPlanes::prepare(std::span(&cg, 1), offsets,
+                                              32, 32),
+                 "bits \\+ pruned <= 8");
 }
 
 TEST(ParallelTest, ThreadCapParsing)

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "accel/bitvert_array.hpp"
 #include "nn/dataset.hpp"
 #include "nn/evaluate.hpp"
@@ -167,16 +169,16 @@ TEST_F(Int8InferTest, LayerPlanesMatchPerRowGroupStaging)
                 ASSERT_EQ(got.rows(), want.rows()) << "layer " << li;
                 ASSERT_EQ(got.cols(), want.cols()) << "layer " << li;
                 ASSERT_EQ(got.groupsPerRow(), want.groupsPerRow());
-                for (std::size_t i = 0; i < want.packedGroups().size();
-                     ++i) {
-                    const PackedGroup &a = got.packedGroups()[i];
-                    const PackedGroup &b = want.packedGroups()[i];
-                    ASSERT_EQ(a.planes, b.planes) << "layer " << li;
-                    ASSERT_EQ(a.bits, b.bits) << "layer " << li;
-                    ASSERT_EQ(a.size, b.size) << "layer " << li;
-                    ASSERT_EQ(got.shifts()[i], want.shifts()[i]);
-                    ASSERT_EQ(got.constants()[i], want.constants()[i]);
-                }
+                ASSERT_EQ(got.stride(), want.stride()) << "layer " << li;
+                ASSERT_TRUE(std::ranges::equal(got.planes(), want.planes()))
+                    << "layer " << li;
+                ASSERT_TRUE(std::ranges::equal(got.bits(), want.bits()))
+                    << "layer " << li;
+                ASSERT_TRUE(std::ranges::equal(got.shifts(), want.shifts()))
+                    << "layer " << li;
+                ASSERT_TRUE(
+                    std::ranges::equal(got.constants(), want.constants()))
+                    << "layer " << li;
             }
             ASSERT_EQ(li, engine.layers().size());
             EXPECT_EQ(engine.layers().back().inFeatures, 24);

@@ -15,7 +15,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/bit_utils.hpp"
@@ -123,13 +126,6 @@ pinAgainstScalar(const SimdKernels &k, const Buffers &buf,
                   s.weightedPlaneDot(b[w], aw))
             << "w=" << w;
     }
-    std::int64_t bk[64], bs[64];
-    for (std::int64_t count : {0, 1, 2, 7, 8}) {
-        k.weightedPlaneSumBatch(a, count, bk);
-        s.weightedPlaneSumBatch(a, count, bs);
-        for (std::int64_t i = 0; i < count; ++i)
-            ASSERT_EQ(bk[i], bs[i]) << "count=" << count << " i=" << i;
-    }
 }
 
 TEST(SimdKernels, AllLevelsMatchScalarOnFuzzedSpans)
@@ -231,39 +227,14 @@ TEST(SimdKernels, CompressedGroupDotMatchesScalarForEveryStoredWidth)
     }
 }
 
-/** Low @p members bits set: the columns a group's planes can occupy. */
-std::uint64_t
-memberMask(int members)
+/** Bits of 32-bit plane word @p w that a group of @p members occupies
+ *  (member i at bit i % 32 of word i / 32). */
+std::uint32_t
+wordMask(int members, int w)
 {
-    return members >= 64 ? ~0ull : (1ull << members) - 1ull;
+    int inWord = std::clamp(members - 32 * w, 0, 32);
+    return inWord >= 32 ? ~0u : (1u << inWord) - 1u;
 }
-
-/** One weight row of the stage-2 tile, owned. */
-struct TileRow
-{
-    std::vector<PackedGroup> groups;
-    std::vector<std::int8_t> shifts;
-    std::vector<std::int32_t> constants;
-
-    CompressedRowRef
-    ref() const
-    {
-        return {groups.data(), shifts.data(), constants.data()};
-    }
-};
-
-/** One sample's stage-1 staging, owned. */
-struct TileSample
-{
-    std::vector<std::uint64_t> windows;
-    std::vector<std::int64_t> sums;
-
-    WindowRowRef
-    ref() const
-    {
-        return {windows.data(), sums.data()};
-    }
-};
 
 /** Members of group @p g: @p groupSize, the last group @p tail. */
 int
@@ -272,95 +243,226 @@ tileMembers(std::int64_t g, std::int64_t numGroups, int groupSize, int tail)
     return g + 1 == numGroups ? tail : groupSize;
 }
 
-/** Random groups: stored bits 1..8, shifts 0..8 - bits, and random,
- *  sparse, empty and all-ones planes (within the member mask). */
-TileRow
-randomTileRow(Rng &rng, std::int64_t numGroups, int groupSize, int tail)
+/** Compact weight rows for the stage-2 tile (CompressedRowPlanes'
+ *  layout), owned. */
+struct TileRows
 {
-    TileRow row;
-    row.groups.resize(static_cast<std::size_t>(numGroups));
-    for (std::int64_t g = 0; g < numGroups; ++g) {
-        PackedGroup &pg = row.groups[static_cast<std::size_t>(g)];
-        pg.size = tileMembers(g, numGroups, groupSize, tail);
-        pg.bits = static_cast<int>(rng.uniformInt(1, kWeightBits));
-        std::uint64_t mask = memberMask(pg.size);
-        for (int b = 0; b < pg.bits; ++b) {
-            std::uint64_t &plane = pg.planes[static_cast<std::size_t>(b)];
-            switch (rng.uniformInt(0, 3)) {
-            case 0: plane = 0; break;
-            case 1: plane = mask; break;
-            case 2: plane = rng.next() & rng.next() & mask; break;
-            default: plane = rng.next() & mask; break;
-            }
-        }
-        row.shifts.push_back(static_cast<std::int8_t>(
-            rng.uniformInt(0, kWeightBits - pg.bits)));
-        row.constants.push_back(
-            static_cast<std::int32_t>(rng.uniformInt(-128, 127)));
+    std::int64_t numGroups = 0;
+    int stride = 0;
+    int planeWords = 1;
+    std::vector<std::uint32_t> planes;
+    std::vector<std::uint8_t> bits;
+    std::vector<std::int8_t> shifts;
+    std::vector<std::int32_t> constants;
+
+    CompressedRowRef
+    ref(std::int64_t o) const
+    {
+        std::size_t g = static_cast<std::size_t>(o * numGroups);
+        return {planes.data() + g * static_cast<std::size_t>(stride) *
+                                    static_cast<std::size_t>(planeWords),
+                bits.data() + g, shifts.data() + g, constants.data() + g};
     }
-    return row;
+};
+
+/**
+ * Random rows at @p stride: per group stored bits @p fixedBits (or
+ * random in 1..stride, so stride > bits is common), shift @p fixedShift
+ * (or random in 0..8 - bits), and random, sparse, empty and all-ones
+ * plane words within the member mask (all-ones everywhere when
+ * @p allOnes). Slots at and above a group's bits stay zero.
+ */
+TileRows
+randomTileRows(Rng &rng, std::int64_t rows, std::int64_t numGroups,
+               int groupSize, int tail, int stride, bool allOnes,
+               int fixedBits = 0, int fixedShift = -1)
+{
+    TileRows t;
+    t.numGroups = numGroups;
+    t.stride = stride;
+    t.planeWords = groupSize > 32 ? 2 : 1;
+    t.planes.assign(static_cast<std::size_t>(rows * numGroups * stride *
+                                             t.planeWords),
+                    0u);
+    for (std::int64_t o = 0; o < rows; ++o) {
+        for (std::int64_t g = 0; g < numGroups; ++g) {
+            int members = tileMembers(g, numGroups, groupSize, tail);
+            int bits = fixedBits > 0
+                           ? fixedBits
+                           : static_cast<int>(rng.uniformInt(1, stride));
+            int shift = fixedShift >= 0
+                            ? fixedShift
+                            : static_cast<int>(
+                                  rng.uniformInt(0, kWeightBits - bits));
+            std::uint32_t *slots =
+                t.planes.data() +
+                (o * numGroups + g) * stride * t.planeWords;
+            for (int b = 0; b < bits; ++b) {
+                for (int w = 0; w < t.planeWords; ++w) {
+                    std::uint32_t mask = wordMask(members, w);
+                    auto r = static_cast<std::uint32_t>(rng.next());
+                    std::uint32_t &word = slots[b * t.planeWords + w];
+                    switch (allOnes ? 1 : rng.uniformInt(0, 3)) {
+                    case 0: word = 0; break;
+                    case 1: word = mask; break;
+                    case 2:
+                        word = r & static_cast<std::uint32_t>(rng.next()) &
+                               mask;
+                        break;
+                    default: word = r & mask; break;
+                    }
+                }
+            }
+            t.bits.push_back(static_cast<std::uint8_t>(bits));
+            t.shifts.push_back(static_cast<std::int8_t>(shift));
+            t.constants.push_back(
+                static_cast<std::int32_t>(rng.uniformInt(-32, 63)));
+        }
+    }
+    return t;
 }
 
-/** Random windows (one in four all-ones) and their activation sums. */
-TileSample
-randomTileSample(Rng &rng, std::int64_t numGroups, int groupSize, int tail)
+/** Stage-1 staging of a batch as the GEMM lays it out, owned. */
+struct TileStaging
+{
+    std::int64_t pairs = 0;
+    std::int64_t numGroups = 0;
+    std::int64_t pairWords = 0; ///< window words per pair
+    std::vector<std::uint32_t> windows;
+    std::vector<std::int32_t> sums;
+
+    WindowPairRef
+    ref(std::int64_t p) const
+    {
+        return {windows.data() + p * pairWords,
+                sums.data() + p * numGroups * 2};
+    }
+};
+
+/**
+ * @p n samples' random windows (all-ones when @p allOnes) within the
+ * member mask: per (pair, group, word) one 16-lane block, the odd lanes
+ * zero when the pair has no odd sample, and each sample's sum of
+ * activations over the group.
+ */
+TileStaging
+randomTileStaging(Rng &rng, std::int64_t n, std::int64_t numGroups,
+                  int groupSize, int tail, bool allOnes)
+{
+    const int planeWords = groupSize > 32 ? 2 : 1;
+    TileStaging t;
+    t.pairs = (n + 1) / 2;
+    t.numGroups = numGroups;
+    t.pairWords = numGroups * planeWords * 16;
+    t.windows.assign(static_cast<std::size_t>(t.pairs * t.pairWords), 0u);
+    t.sums.assign(static_cast<std::size_t>(t.pairs * numGroups * 2), 0);
+    for (std::int64_t r = 0; r < n; ++r) {
+        std::int64_t p = r / 2;
+        int s = static_cast<int>(r % 2);
+        for (std::int64_t g = 0; g < numGroups; ++g) {
+            int members = tileMembers(g, numGroups, groupSize, tail);
+            std::int64_t sum = 0;
+            for (int w = 0; w < planeWords; ++w) {
+                std::uint32_t mask = wordMask(members, w);
+                std::uint32_t *block = t.windows.data() + p * t.pairWords +
+                                       (g * planeWords + w) * 16 + 8 * s;
+                for (int c = 0; c < kWeightBits; ++c) {
+                    block[c] =
+                        allOnes ? mask
+                                : static_cast<std::uint32_t>(rng.next()) &
+                                      mask;
+                    sum += columnWeight(c, kWeightBits) *
+                           std::popcount(block[c]);
+                }
+            }
+            t.sums[static_cast<std::size_t>((p * numGroups + g) * 2 + s)] =
+                static_cast<std::int32_t>(sum);
+        }
+    }
+    return t;
+}
+
+/**
+ * Every supported level's tile equals the scalar oracle's over the
+ * GEMM's own tile walk: row pairs (the last row passed twice when the
+ * row count is odd) x pairs of sample pairs (the last pair passed twice
+ * when the pair count is odd).
+ */
+void
+expectTilesMatchScalar(const TileRows &w, std::int64_t rows,
+                       const TileStaging &a, const std::string &what)
 {
     const SimdKernels &s = simdKernelsFor(SimdLevel::Scalar);
-    TileSample sample;
-    sample.windows.resize(static_cast<std::size_t>(numGroups * kWeightBits));
-    for (std::int64_t g = 0; g < numGroups; ++g) {
-        std::uint64_t mask =
-            memberMask(tileMembers(g, numGroups, groupSize, tail));
-        bool allOnes = rng.uniformInt(0, 3) == 0;
-        std::uint64_t *aw = sample.windows.data() + g * kWeightBits;
-        for (int c = 0; c < kWeightBits; ++c)
-            aw[c] = allOnes ? mask : rng.next() & mask;
-        sample.sums.push_back(s.weightedPlaneSum(aw));
+    for (std::int64_t o0 = 0; o0 < rows; o0 += 2) {
+        const CompressedRowRef wr[2] = {w.ref(o0),
+                                        w.ref(std::min(o0 + 1, rows - 1))};
+        for (std::int64_t p0 = 0; p0 < a.pairs; p0 += 2) {
+            const WindowPairRef ar[2] = {
+                a.ref(p0), a.ref(std::min(p0 + 1, a.pairs - 1))};
+            std::int32_t want[8] = {};
+            s.compressedGemmTile(wr, ar, w.numGroups, w.stride, w.planeWords,
+                                 want);
+            for (SimdLevel level : supportedLevels()) {
+                std::int32_t got[8] = {};
+                simdKernelsFor(level).compressedGemmTile(
+                    wr, ar, w.numGroups, w.stride, w.planeWords, got);
+                for (int i = 0; i < 8; ++i)
+                    ASSERT_EQ(got[i], want[i])
+                        << simdLevelName(level) << " " << what << " rows "
+                        << o0 << " pairs " << p0 << " out " << i;
+            }
+        }
     }
-    return sample;
 }
 
 TEST(SimdKernels, CompressedGemmTileMatchesScalarOverWholeRows)
 {
     Rng rng(321);
-    const SimdKernels &s = simdKernelsFor(SimdLevel::Scalar);
-    for (std::int64_t numGroups : {1, 2, 3, 7, 8, 9, 24, 33, 96}) {
-        for (int groupSize : {1, 5, 32, 33, 64}) {
-            // A full last group, then a short tail group.
-            for (int tail : {groupSize,
-                             static_cast<int>(rng.uniformInt(1, groupSize))}) {
-                TileRow w0 = randomTileRow(rng, numGroups, groupSize, tail);
-                TileRow w1 = randomTileRow(rng, numGroups, groupSize, tail);
-                TileSample a0 =
-                    randomTileSample(rng, numGroups, groupSize, tail);
-                TileSample a1 =
-                    randomTileSample(rng, numGroups, groupSize, tail);
-                // The full tile, then the edge tiles (a row or a sample
-                // passed twice).
-                const CompressedRowRef rowSets[3][2] = {
-                    {w0.ref(), w1.ref()},
-                    {w0.ref(), w0.ref()},
-                    {w1.ref(), w0.ref()}};
-                const WindowRowRef sampleSets[3][2] = {
-                    {a0.ref(), a1.ref()},
-                    {a1.ref(), a0.ref()},
-                    {a1.ref(), a1.ref()}};
-                for (int t = 0; t < 3; ++t) {
-                    std::int64_t want[4];
-                    s.compressedGemmTile(rowSets[t], sampleSets[t],
-                                         numGroups, want);
-                    for (SimdLevel level : supportedLevels()) {
-                        std::int64_t got[4];
-                        simdKernelsFor(level).compressedGemmTile(
-                            rowSets[t], sampleSets[t], numGroups, got);
-                        for (int o = 0; o < 4; ++o)
-                            ASSERT_EQ(got[o], want[o])
-                                << simdLevelName(level) << " groups="
-                                << numGroups << " gs=" << groupSize
-                                << " tail=" << tail << " tile=" << t
-                                << " out=" << o;
-                    }
+    const std::int64_t rows = 3;
+    for (int groupSize : {1, 5, 32, 33, 64}) {
+        for (int stride = 1; stride <= kWeightBits; ++stride) {
+            for (std::int64_t n : {1, 2, 3, 5, 17}) {
+                for (bool allOnes : {false, true}) {
+                    const std::int64_t groupCounts[] = {1, 2, 3, 9, 24, 96};
+                    std::int64_t numGroups =
+                        groupCounts[rng.uniformInt(0, 5)];
+                    int tail = static_cast<int>(
+                        rng.uniformInt(1, groupSize));
+                    TileRows w =
+                        randomTileRows(rng, rows, numGroups, groupSize,
+                                       tail, stride, allOnes);
+                    TileStaging a = randomTileStaging(
+                        rng, n, numGroups, groupSize, tail, allOnes);
+                    expectTilesMatchScalar(
+                        w, rows, a,
+                        "gs=" + std::to_string(groupSize) + " stride=" +
+                            std::to_string(stride) + " n=" +
+                            std::to_string(n) +
+                            (allOnes ? " all-ones" : " random"));
                 }
+            }
+        }
+    }
+}
+
+TEST(SimdKernels, CompressedGemmTileCoversEveryBitsAndShift)
+{
+    // Every stored width with every shift the invariant bits + shift <=
+    // 8 admits, at full stride (8 slots, the unused ones zero), both
+    // plane word counts and an odd batch.
+    Rng rng(654);
+    for (int groupSize : {32, 64}) {
+        for (int bits = 1; bits <= kWeightBits; ++bits) {
+            for (int shift = 0; shift + bits <= kWeightBits; ++shift) {
+                TileRows w = randomTileRows(rng, 2, 7, groupSize, groupSize,
+                                            kWeightBits, false, bits, shift);
+                TileStaging a =
+                    randomTileStaging(rng, 3, 7, groupSize, groupSize, false);
+                expectTilesMatchScalar(w, 2, a,
+                                       "gs=" + std::to_string(groupSize) +
+                                           " bits=" + std::to_string(bits) +
+                                           " shift=" +
+                                           std::to_string(shift));
             }
         }
     }

@@ -184,6 +184,65 @@ TEST(StoreContainerTest, OperandRoundTripBitIdentity)
     std::remove(path.c_str());
 }
 
+/** Fill and free some heap, so a writer that leaked uninitialised
+ *  bytes would see different garbage on its next build. */
+void
+churnHeap(std::uint8_t fill)
+{
+    std::vector<std::vector<std::uint8_t>> blocks;
+    for (std::size_t size : {64u, 128u, 4096u, 65536u, 1u << 20})
+        blocks.emplace_back(size, fill);
+}
+
+TEST(StoreContainerTest, ContainerBytesDependOnlyOnTheModel)
+{
+    // Two builds of one network write byte-identical containers: unused
+    // plane slots and every reserved field are zero, so no heap bytes
+    // reach the disk.
+    std::string pathA = tempPath("same_a"), pathB = tempPath("same_b");
+    churnHeap(0xa5);
+    store::writeModelContainer(makeEngine(24, 48, 8, 3, 0x5a3e), pathA);
+    churnHeap(0x3c);
+    store::writeModelContainer(makeEngine(24, 48, 8, 3, 0x5a3e), pathB);
+    std::vector<std::uint8_t> a = readFile(pathA), b = readFile(pathB);
+    ASSERT_FALSE(a.empty());
+    EXPECT_TRUE(a == b) << "two builds of one model wrote different bytes";
+
+    // The same for an operand whose groups store fewer bits than its
+    // stride (groups compressed at mixed targets), so unused slots
+    // exist.
+    auto mixedOperand = [] {
+        Rng rng(0x71de);
+        Int8Tensor w = randomMatrix(4, 64, rng);
+        std::vector<CompressedGroup> groups;
+        std::vector<std::int64_t> offsets{0};
+        for (std::int64_t o = 0; o < 4; ++o) {
+            for (std::int64_t g = 0; g < 2; ++g)
+                groups.push_back(compressGroup(
+                    w.channel(o).subspan(static_cast<std::size_t>(32 * g),
+                                         32),
+                    static_cast<int>((o + g) % 4),
+                    PruneStrategy::ZeroPointShifting));
+            offsets.push_back(static_cast<std::int64_t>(groups.size()));
+        }
+        return PackedOperand::fromPrepared(
+            std::make_shared<const CompressedRowPlanes>(
+                CompressedRowPlanes::prepare(groups, offsets, 64, 32)));
+    };
+    churnHeap(0x5a);
+    PackedOperand first = mixedOperand();
+    ASSERT_EQ(first.compressedRows().stride(), 8);
+    store::writeOperandContainer({first}, pathA);
+    churnHeap(0xc3);
+    store::writeOperandContainer({mixedOperand()}, pathB);
+    a = readFile(pathA);
+    b = readFile(pathB);
+    ASSERT_FALSE(a.empty());
+    EXPECT_TRUE(a == b) << "two builds of one operand wrote different bytes";
+    std::remove(pathA.c_str());
+    std::remove(pathB.c_str());
+}
+
 TEST(StoreContainerTest, MappingOutlivesContainerHandle)
 {
     // The aliasing shared_ptr contract: dropping every direct container
@@ -309,41 +368,85 @@ TEST_F(StoreFuzzTest, DirectoryCorruptions)
 
 TEST_F(StoreFuzzTest, HostileGroupFields)
 {
-    // Locate the Groups payload through the real directory, then plant
-    // field values the kernels would turn into OOB indexing / shift UB.
+    // Locate the first operand's metadata and per-group sections through
+    // the real directory, then plant field values the kernels would turn
+    // into out-of-bounds plane reads, shift UB or inexact int32 lanes.
+    // Member counts derive from groupSize and cols, so no group field
+    // can make a group overrun its columns.
     store::FileHeader header;
     std::memcpy(&header, golden_.data(), sizeof(header));
-    std::uint64_t groupsOff = 0, shiftsOff = 0;
-    for (std::uint32_t i = 0; i < header.entryCount; ++i) {
+    auto entryAt = [&](std::uint32_t i) {
         store::DirEntry e;
         std::memcpy(&e,
                     golden_.data() + sizeof(header) +
                         i * sizeof(store::DirEntry),
                     sizeof(e));
-        if (e.kind == static_cast<std::uint32_t>(
-                          store::SectionKind::Groups) &&
-            groupsOff == 0)
-            groupsOff = e.offset;
-        if (e.kind == static_cast<std::uint32_t>(
-                          store::SectionKind::Shifts) &&
-            shiftsOff == 0)
-            shiftsOff = e.offset;
-    }
-    ASSERT_NE(groupsOff, 0u);
-    ASSERT_NE(shiftsOff, 0u);
+        return e;
+    };
+    auto firstOf = [&](store::SectionKind kind) -> std::uint32_t {
+        for (std::uint32_t i = 0; i < header.entryCount; ++i)
+            if (entryAt(i).kind == static_cast<std::uint32_t>(kind) &&
+                entryAt(i).index == 0)
+                return i;
+        return header.entryCount;
+    };
+    const std::uint32_t metaIdx = firstOf(store::SectionKind::OperandMeta);
+    const std::uint32_t planesIdx = firstOf(store::SectionKind::Planes);
+    const std::uint32_t bitsIdx = firstOf(store::SectionKind::Bits);
+    const std::uint32_t shiftsIdx = firstOf(store::SectionKind::Shifts);
+    for (std::uint32_t idx : {metaIdx, planesIdx, bitsIdx, shiftsIdx})
+        ASSERT_LT(idx, header.entryCount);
 
-    const std::size_t sizeAt = groupsOff + offsetof(PackedGroup, size);
-    const std::size_t bitsAt = groupsOff + offsetof(PackedGroup, bits);
-    expectRejected(mutated(bitsAt, {9}), "bits > kWeightBits");
-    expectRejected(mutated(bitsAt, {0xff, 0xff, 0xff, 0xff}),
-                   "negative bits");
-    expectRejected(mutated(sizeAt, {65}), "size > 64");
-    expectRejected(mutated(sizeAt, {0xff, 0xff, 0xff, 0xff}),
-                   "negative size");
-    expectRejected(mutated(sizeAt, {7}),
-                   "size disagrees with the column tiling");
-    expectRejected(mutated(shiftsOff, {9}), "shift > 8");
-    expectRejected(mutated(shiftsOff, {0xf7}), "negative shift");
+    // The golden model prunes three columns: stride 5, every group
+    // stores 5 bits over a shift of at most 3.
+    store::OperandMetaSection meta;
+    std::memcpy(&meta, golden_.data() + entryAt(metaIdx).offset,
+                sizeof(meta));
+    ASSERT_EQ(meta.stride, 5u);
+    ASSERT_EQ(golden_[entryAt(bitsIdx).offset], 5u);
+    const std::size_t strideAt = entryAt(metaIdx).offset +
+                                 offsetof(store::OperandMetaSection, stride);
+    const std::size_t bitsAt = entryAt(bitsIdx).offset;
+    const std::size_t shiftsAt = entryAt(shiftsIdx).offset;
+
+    expectRejected(mutated(bitsAt, {6}), "bits > stride");
+    expectRejected(mutated(bitsAt, {0xff}), "bits 255");
+    expectRejected(mutated(strideAt, {9}), "stride > 8");
+    expectRejected(mutated(strideAt, {0}), "stride 0");
+    expectRejected(mutated(strideAt, {6}),
+                   "Planes length disagrees with the stride");
+    {
+        // A Planes extent one word short of rows x groups x stride x
+        // planeWords x 4 bytes.
+        store::DirEntry e = entryAt(planesIdx);
+        e.length -= 4;
+        std::vector<std::uint8_t> bytes = golden_;
+        std::memcpy(bytes.data() + sizeof(header) +
+                        planesIdx * sizeof(store::DirEntry),
+                    &e, sizeof(e));
+        expectRejected(bytes, "Planes length short by one word");
+    }
+    expectRejected(mutated(shiftsAt, {9}), "shift > 8");
+    expectRejected(mutated(shiftsAt, {0xf7}), "negative shift");
+    expectRejected(mutated(shiftsAt, {4}), "bits + shift > 8");
+
+    // The bound is inclusive: bits + shift == 8 is a legal group.
+    writeFile(path_, mutated(shiftsAt, {3}));
+    std::shared_ptr<const MappedContainer> c;
+    std::string error;
+    EXPECT_TRUE(MappedContainer::tryOpen(path_, c, &error)) << error;
+}
+
+TEST_F(StoreFuzzTest, VersionOneContainerIsRefusedByName)
+{
+    // A version-1 container (128-byte group records) must not be
+    // reinterpreted as compact rows; the refusal names the version.
+    writeFile(path_, mutated(4, {0x01, 0x00, 0x00, 0x00}));
+    std::shared_ptr<const MappedContainer> c;
+    std::string error;
+    EXPECT_FALSE(MappedContainer::tryOpen(path_, c, &error));
+    EXPECT_EQ(c, nullptr);
+    EXPECT_NE(error.find("version 1"), std::string::npos) << error;
 }
 
 TEST_F(StoreFuzzTest, RandomMutationsNeverCrash)
