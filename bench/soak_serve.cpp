@@ -713,8 +713,26 @@ main(int argc, char **argv)
             std::this_thread::sleep_for(std::chrono::milliseconds(300));
             ds.kill.store(false, std::memory_order_relaxed);
             ds.thread = std::thread(drainLoop, victimShard);
+            // At a high offered rate the 300 ms backlog fills the shard
+            // past maxShardDepth, and admission sheds a probe sent into
+            // it as Overloaded. So wait (bounded) for the restarted
+            // drain to empty the queue, and retry a shed probe until the
+            // same deadline; the judged condition stays an Ok,
+            // bit-identical answer.
+            const auto probeDeadline =
+                Clock::now() + std::chrono::seconds(3);
+            const RequestQueue &victimQueue =
+                server.queues().shard(victimShard);
+            while (victimQueue.size() > 0 && Clock::now() < probeDeadline)
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
             InferenceResponse probe =
                 server.submit(models[0].name, models[0].pool[0]).get();
+            while (probe.status == ServeStatus::Overloaded &&
+                   Clock::now() < probeDeadline) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                probe =
+                    server.submit(models[0].name, models[0].pool[0]).get();
+            }
             chaos.shardRestartServed =
                 probe.status == ServeStatus::Ok &&
                 probe.logits == models[0].oracle[0];

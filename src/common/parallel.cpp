@@ -9,15 +9,24 @@
  * parallel run, grows to the worker cap high-water mark, and then serves
  * every subsequent job allocation-free: jobs are published under a mutex
  * (a ParallelBody is two raw pointers), chunks are claimed from an
- * atomic counter by the workers AND the calling thread, and completion
+ * atomic counter by the helpers AND the calling thread, and completion
  * is signalled back over a condition variable.
+ *
+ * Wake protocol: each helper waits on its own condition variable for its
+ * own `assigned` flag. A job with h helpers sets the flags of helpers
+ * 0..h-1 under the pool mutex and notifies exactly those h, so a job
+ * that wants one helper wakes one thread, not the whole pool. A helper
+ * clears its flag when it takes the job, so a wake-up can never be taken
+ * by a helper it was not meant for. (One shared condition variable with
+ * one notify_one per helper can deadlock: a helper that already finished
+ * and went back to waiting may take a wake-up meant for another.)
  *
  * One job runs at a time. A parallelFor arriving while another thread's
  * job is in flight gets `false` from poolRun and falls back to the old
  * spawn-per-call path — correct, just at the historical cost. Memory
  * ordering: the job publication and the finished-count handshake both go
  * through the pool mutex, so everything the caller wrote before
- * parallelFor happens-before the workers' reads, and the workers' output
+ * parallelFor happens-before the helpers' reads, and the helpers' output
  * writes happen-before the caller's return.
  *
  * The pool is built once and never destroyed. std::exit (a fatal error)
@@ -39,6 +48,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <optional>
 
@@ -114,12 +124,12 @@ class WorkerPool
 
         {
             std::lock_guard<std::mutex> lk(m_);
-            ensureThreadsLocked(helpers);
+            ensureHelpersLocked(helpers);
             helpers = std::min<unsigned>(
-                helpers, static_cast<unsigned>(threads_.size()));
+                helpers, static_cast<unsigned>(helpers_.size()));
 #if BBS_OBS
             poolMetrics().threads.set(
-                static_cast<std::int64_t>(threads_.size()));
+                static_cast<std::int64_t>(helpers_.size()));
 #endif
             if (helpers == 0) { // thread creation failed entirely
                 for (std::int64_t i = 0; i < n; ++i)
@@ -132,9 +142,12 @@ class WorkerPool
             next_.store(0, std::memory_order_relaxed);
             active_ = helpers;
             finished_ = 0;
-            ++generation_;
+            for (unsigned i = 0; i < helpers; ++i)
+                helpers_[i]->assigned = true;
         }
-        cv_.notify_all();
+        // helpers_ changes only under jobMutex_, which this caller holds.
+        for (unsigned i = 0; i < helpers; ++i)
+            helpers_[i]->wake.notify_one();
 
         // The calling thread is a full participant: it claims chunks
         // alongside the pool (flagged as a worker so nested parallel
@@ -165,13 +178,26 @@ class WorkerPool
                     "could not install the worker pool's fork handler");
     }
 
-    /** Grow the pool to @p want threads; requires m_ held. The pool
+    /** One pool thread and the wait object only its jobs notify. */
+    struct Helper
+    {
+        std::condition_variable wake;
+        bool assigned = false; ///< guarded by m_
+        std::thread thread;
+    };
+
+    /** Grow the pool to @p want helpers; requires m_ held. The pool
      *  never shrinks — its high-water mark is the allocation paid once. */
     void
-    ensureThreadsLocked(unsigned want)
+    ensureHelpersLocked(unsigned want)
     {
-        while (threads_.size() < want)
-            threads_.emplace_back([this] { workerLoop(); });
+        helpers_.reserve(want);
+        while (helpers_.size() < want) {
+            auto h = std::make_unique<Helper>();
+            Helper *self = h.get();
+            h->thread = std::thread([this, self] { helperLoop(*self); });
+            helpers_.push_back(std::move(h));
+        }
     }
 
     static void
@@ -196,19 +222,12 @@ class WorkerPool
     }
 
     void
-    workerLoop()
+    helperLoop(Helper &self)
     {
         std::unique_lock<std::mutex> lk(m_);
-        unsigned index = nextWorkerIndex_++;
-        // Start at generation 0, not the current one: a worker spawned
-        // mid-publication is already counted in the job's active_ set and
-        // must run that job, or the caller would wait forever.
-        std::uint64_t seen = 0;
         for (;;) {
-            cv_.wait(lk, [&] { return generation_ != seen; });
-            seen = generation_;
-            if (index >= active_)
-                continue; // this job wants fewer helpers
+            self.wake.wait(lk, [&] { return self.assigned; });
+            self.assigned = false;
             ParallelBody fn = *body_;
             std::int64_t n = n_, chunk = chunk_;
             lk.unlock();
@@ -217,7 +236,7 @@ class WorkerPool
             insideParallelWorker() = false;
             lk.lock();
             if (++finished_ == active_)
-                doneCv_.notify_all();
+                doneCv_.notify_one();
         }
     }
 
@@ -227,12 +246,9 @@ class WorkerPool
     std::mutex jobMutex_; ///< serializes whole jobs (try_lock gate)
 
     std::mutex m_; ///< guards all job/pool state below
-    std::condition_variable cv_;     ///< workers wait for a generation
     std::condition_variable doneCv_; ///< caller waits for completion
-    std::vector<std::thread> threads_;
-    unsigned nextWorkerIndex_ = 0;
+    std::vector<std::unique_ptr<Helper>> helpers_;
 
-    std::uint64_t generation_ = 0;
     std::optional<ParallelBody> body_;
     std::int64_t n_ = 0;
     std::int64_t chunk_ = 0;

@@ -4,6 +4,14 @@
  * the simulators. Deterministic: iteration i always does the same work
  * regardless of the thread count; only wall-clock time changes.
  *
+ * Chunk rule: a parallelFor chunk is a contiguous block of iterations,
+ * and the serving-path call sites size it from the work one iteration
+ * carries (chunkForWork): a chunk holds at least kMinChunkWork element
+ * steps. So a region whose whole work is below that constant is one
+ * chunk and runs on the calling thread, and a larger region gets one
+ * helper per further chunk, up to the worker cap. Chunks depend on
+ * shapes only, never on the thread count.
+ *
  * Allocation discipline (the serving hot path's zero-allocation
  * guarantee rests on this file):
  *
@@ -14,9 +22,10 @@
  *  - Workers come from a lazily-started persistent pool
  *    (common/parallel.cpp) instead of a fresh std::thread team per call:
  *    after the pool's first run, steady-state parallel loops perform
- *    zero heap allocations. Concurrent parallelFor calls from distinct
- *    threads fall back to the legacy spawn-per-call path (the pool runs
- *    one job at a time), which keeps them correct at the old cost.
+ *    zero heap allocations. A job wakes only the helpers it uses.
+ *    Concurrent parallelFor calls from distinct threads fall back to the
+ *    legacy spawn-per-call path (the pool runs one job at a time), which
+ *    keeps them correct at the old cost.
  *    The pool is never destroyed, so a fatal std::exit joins nothing. A
  *    child forked after the pool started runs its parallel loops
  *    serially on the calling thread: the parent's helpers do not exist
@@ -25,6 +34,7 @@
 #ifndef BBS_COMMON_PARALLEL_HPP
 #define BBS_COMMON_PARALLEL_HPP
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -136,10 +146,36 @@ setWorkerThreadCap(unsigned cap)
 }
 
 /**
+ * The least work one parallelFor chunk carries, in element steps. A step
+ * is one element through a loop's innermost body: a float quantized, an
+ * INT8 value packed into bit planes, one activation plane window staged,
+ * one stored weight bit against one activation (per-dot), one weight
+ * plane word against a sample pair's 64-byte window block (stage 2). On
+ * one core of a 4-vCPU AVX-512 VM each of these measured 1.3-4.5 ns, so
+ * a chunk is at least about 11-37 us of work. There a pool job with one
+ * helper cost 11-14 us of CPU and each further helper 6-7 us, so a
+ * helper is given work only when the work pays for its wake-up.
+ * Measured once; not tuned per host.
+ */
+inline constexpr std::int64_t kMinChunkWork = 8192;
+
+/**
+ * Iterations per parallelFor chunk for iterations of @p itemWork element
+ * steps each (see kMinChunkWork): the fewest that reach the constant.
+ */
+constexpr std::int64_t
+chunkForWork(std::int64_t itemWork)
+{
+    const std::int64_t w = std::max<std::int64_t>(itemWork, 1);
+    return (kMinChunkWork + w - 1) / w;
+}
+
+/**
  * Run fn(i) for i in [0, n) across hardware threads.
  *
- * Work is handed out in chunks via an atomic counter, so uneven iteration
- * costs (e.g. different layer sizes) still balance. Nested calls (a
+ * Work is handed out in contiguous chunks via an atomic counter, so
+ * uneven iteration costs (e.g. different layer sizes) still balance. A
+ * range of at most one chunk runs on the calling thread. Nested calls (a
  * parallel loop body invoking another parallel primitive) run serially:
  * a thread team per inner call would oversubscribe quadratically.
  *

@@ -1,8 +1,10 @@
 #include "engine/plan.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <optional>
 
+#include "common/aligned.hpp"
 #include "common/bit_utils.hpp"
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
@@ -104,7 +106,9 @@ struct RunTimer
  * The per-dot execution: the pre-GEMM inference loop nest (weight
  * channels outer and parallel, samples inner, groups in ascending
  * order) over the compact plane rows, read in place, so plans resolve it
- * bit-identically.
+ * bit-identically. A channel's work is n x cols x stride stored weight
+ * bits; threads claim blocks of channels that carry kMinChunkWork of it
+ * and at least one 64-byte line of int32 outputs per sample row.
  */
 void
 runPerDot(const CompressedRowPlanes &w, const Int8Tensor &x,
@@ -113,6 +117,8 @@ runPerDot(const CompressedRowPlanes &w, const Int8Tensor &x,
     std::int64_t n = x.shape().dim(0);
     std::int64_t k = w.rows();
     std::int64_t numGroups = w.groupsPerRow();
+    constexpr std::int64_t kChannelsPerLine =
+        kCacheLineBytes / sizeof(std::int32_t);
     parallelFor(k, [&](std::int64_t o) {
         for (std::int64_t r = 0; r < n; ++r) {
             std::int64_t acc = 0;
@@ -127,7 +133,7 @@ runPerDot(const CompressedRowPlanes &w, const Int8Tensor &x,
             }
             out.at(r, o) = static_cast<std::int32_t>(acc);
         }
-    }, 2);
+    }, std::max(kChannelsPerLine, chunkForWork(n * w.cols() * w.stride())));
 }
 
 } // namespace

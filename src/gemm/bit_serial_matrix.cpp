@@ -85,7 +85,8 @@ BitSerialMatrix::packInto(std::span<const std::int8_t> values,
                       0);
     // Each 64-column chunk of a row packs through the same flip-diagonal
     // transpose the weight-side packGroup uses; rows are independent, so
-    // a large batch packs in parallel.
+    // a large batch packs in parallel, in chunks of rows sized by their
+    // bytes (a serving-size batch of narrow rows packs on the caller).
     std::int64_t colWords = bsm.colWords_;
     std::uint64_t *words = bsm.words_.data();
     parallelFor(rows, [&](std::int64_t r) {
@@ -100,7 +101,7 @@ BitSerialMatrix::packInto(std::span<const std::int8_t> values,
                 words[(static_cast<std::int64_t>(b) * rows + r) * colWords +
                       w] = pg.planes[static_cast<std::size_t>(b)];
         }
-    }, 8);
+    }, chunkForWork(cols));
 }
 
 Int8Tensor

@@ -226,7 +226,8 @@ detail::gemmCompressedKernel(const CompressedRowPlanes &weights,
     // workers are fresh threads, and a lambda body naming a thread_local
     // arena would resolve to the *worker's own* (empty) instance — so
     // hand the workers raw pointers into the caller's buffers; they touch
-    // only disjoint slices.
+    // only disjoint slices. A pair stages 2 x numGroups x 8 windows, so a
+    // serving-size batch stages on the caller (common/parallel.hpp).
     scratch.reserve(n, numGroups, planeWords);
     std::uint32_t *const windows = scratch.windows.data();
     std::int32_t *const sums = scratch.sums.data();
@@ -257,14 +258,25 @@ detail::gemmCompressedKernel(const CompressedRowPlanes &weights,
                 sum = static_cast<std::int32_t>(total);
             }
         }
-    }, 2);
+    }, chunkForWork(2 * numGroups * kWeightBits));
 
     // Stage 2: register tiles of two weight rows x two sample pairs, one
     // dispatched call per tile over the whole row of groups. An odd last
     // weight row or pair is passed twice, and its duplicate outputs store
     // the same value twice; the missing odd sample's outputs are dropped.
     // Each output is written by one task.
+    //
+    // Threads claim contiguous blocks of tile rows. A tile row's work is
+    // each plane word of its two weight rows against both pairs' window
+    // blocks of every tile; a block carries at least kMinChunkWork of it
+    // and at least one 64-byte line of every output row (8 tile rows of
+    // two int32 columns), so threads share output lines only at block
+    // edges.
     const SimdKernels &simd = simdKernels(); // resolved once per GEMM
+    const std::int64_t tileRowWork =
+        4 * ((pairs + 1) / 2) * numGroups * stride * planeWords;
+    constexpr std::int64_t kTileRowsPerLine =
+        kCacheLineBytes / (2 * sizeof(std::int32_t));
     auto rowRef = [&](std::int64_t o) {
         return CompressedRowRef{weights.groupPlanes(o, 0),
                                 weights.bits().data() + o * numGroups,
@@ -292,7 +304,7 @@ detail::gemmCompressedKernel(const CompressedRowPlanes &weights,
                             out.at(r, o[i]) = acc[4 * i + 2 * j + s];
                     }
         }
-    }, 1);
+    }, std::max(kTileRowsPerLine, chunkForWork(tileRowWork)));
 }
 
 } // namespace bbs

@@ -33,11 +33,17 @@
  * lane sums, and each output is weighed and reduced once. The stored
  * value times 2^shift stays within 2^7 in magnitude (bits + shift <= 8,
  * which prepare(), compress() and the model store enforce), so a lane is
- * bounded by depth * 2^7 < 2^24 and int32 is exact. The kernel
- * parallelizes over weight-row pairs with parallelFor and matches the
- * compressed-domain dot kernel's value bit-for-bit at every SIMD level;
- * the test suite pins it against the dense reference on the
- * decompressed weights.
+ * bounded by depth * 2^7 < 2^24 and int32 is exact. Stage 2 runs under
+ * parallelFor over contiguous blocks of tile rows (weight-row pairs):
+ * a block covers at least one 64-byte line of every output row (8 tile
+ * rows) and at least kMinChunkWork of plane-word work
+ * (common/parallel.hpp), so a small GEMM runs on the calling thread and
+ * threads share output lines only at block edges. The activation pack
+ * and stage 1 size their chunks by the same rule; at serving batch
+ * sizes they usually run on the caller. The kernel matches the
+ * compressed-domain dot kernel's value bit-for-bit at every SIMD level
+ * and every thread count; the test suite pins it against the dense
+ * reference on the decompressed weights.
  *
  * Callers reach the kernel through an engine::MatmulPlan
  * (engine/engine.hpp) whose kind resolves to CompressedBatched, or the

@@ -180,13 +180,13 @@ Int8Network::forwardInto(const Batch &x, const InferencePolicy &policy,
         if (perRow) {
             // Per-row scales: each sample quantizes against its own max,
             // so batch composition cannot perturb any sample's
-            // arithmetic.
+            // arithmetic. A row's work is its `in` floats.
             s.rowScales.resize(static_cast<std::size_t>(n));
             const Batch &curRef = *cur;
             parallelFor(n, [&](std::int64_t row) {
                 s.rowScales[static_cast<std::size_t>(row)] =
                     quantizeRow(curRef, row, qx);
-            }, 8);
+            }, chunkForWork(in));
         } else {
             sA = quantizeActivations(*cur, qx);
         }

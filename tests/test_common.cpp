@@ -10,10 +10,12 @@
 #include <chrono>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hpp"
+#include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "common/stats.hpp"
@@ -149,6 +151,66 @@ TEST(Parallel, HandlesEmptyAndTiny)
     EXPECT_EQ(count.load(), 0);
     parallelFor(3, [&](std::int64_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 3);
+}
+
+TEST(Parallel, ChunkForWorkReachesTheConstant)
+{
+    EXPECT_EQ(chunkForWork(0), kMinChunkWork);
+    for (std::int64_t w : {std::int64_t{1}, std::int64_t{3},
+                           std::int64_t{3072}, kMinChunkWork - 1,
+                           kMinChunkWork, 4 * kMinChunkWork}) {
+        // The fewest iterations whose work reaches the constant.
+        std::int64_t c = chunkForWork(w);
+        EXPECT_GE(c * w, kMinChunkWork) << w;
+        EXPECT_LT((c - 1) * w, kMinChunkWork) << w;
+    }
+}
+
+// Back-to-back jobs whose helper counts cycle through every width the
+// cap allows, 0 (one chunk, run on the caller) through
+// maxWorkerThreads() - 1. A job may wake only the helpers it uses, so a
+// lost or misdirected wake-up would hang a job: the alarm turns that
+// into a SIGALRM failure instead of a stalled suite.
+TEST(Parallel, BackToBackJobsOfEveryWidthComplete)
+{
+    const unsigned threads = maxWorkerThreads();
+    constexpr int kJobs = 10000;
+    constexpr std::int64_t kMaxChunk = 5;
+    std::vector<std::atomic<int>> hits(
+        static_cast<std::size_t>(threads * kMaxChunk));
+#if BBS_OBS
+    auto &reg = obs::Registry::global();
+    obs::Counter &jobs = reg.counter("bbs_pool_jobs_total");
+    obs::Counter &helpers = reg.counter("bbs_pool_helpers_total");
+#endif
+    struct CancelAlarm
+    {
+        ~CancelAlarm() { alarm(0); } // also when an assertion returns early
+    } cancelAlarm;
+    alarm(120);
+    for (int j = 0; j < kJobs; ++j) {
+        const unsigned width = static_cast<unsigned>(j) % threads;
+        const std::int64_t chunk = 1 + j % kMaxChunk;
+        // width + 1 chunks, the last one 1..chunk iterations long.
+        const std::int64_t n = width * chunk + 1 + (j / 7) % chunk;
+        for (std::int64_t i = 0; i < n; ++i)
+            hits[static_cast<std::size_t>(i)].store(0);
+#if BBS_OBS
+        const std::uint64_t jobs0 = jobs.value();
+        const std::uint64_t helpers0 = helpers.value();
+#endif
+        parallelFor(n, [&](std::int64_t i) {
+            hits[static_cast<std::size_t>(i)].fetch_add(1);
+        }, chunk);
+        for (std::int64_t i = 0; i < n; ++i)
+            ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+                << "job " << j << " n=" << n << " chunk=" << chunk
+                << " index " << i;
+#if BBS_OBS
+        ASSERT_EQ(jobs.value() - jobs0, width > 0 ? 1u : 0u) << "job " << j;
+        ASSERT_EQ(helpers.value() - helpers0, width) << "job " << j;
+#endif
+    }
 }
 
 /** Run one parallelFor wide enough to give the worker pool helpers. */

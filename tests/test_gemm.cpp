@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 
+#include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "engine/engine.hpp"
@@ -267,6 +268,43 @@ TEST(GemmCompressedTest, DeepRowsMatchReferenceOnDecompressedWeights)
     // across 64 groups of 64 (two plane words per slot). Odd sample and
     // weight-row counts leave edge tiles and a missing odd sample.
     Rng rng(1212);
+    // Thread caps 1, 2, 3 and the maximum over weight-row and batch
+    // counts that give one tile row, odd rows, whole and short stage-2
+    // blocks (8 or 26 tile rows at this depth) and one or two pack
+    // chunks. The per-dot route rides along at small batches.
+    const unsigned maxThreads = maxWorkerThreads();
+    for (std::int64_t k : {1, 15, 16, 17, 255, 257}) {
+        CompressedRowPlanes planes = CompressedRowPlanes::compress(
+            randomMatrix(k, 512, rng), 32, 3,
+            PruneStrategy::ZeroPointShifting);
+        Int8Tensor dec = planes.decompress();
+        engine::MatmulPlan perDot = engine::defaultSession().plan(
+            engine::PackedOperand::viewCompressed(planes), {},
+            {engine::PlanKind::PerDot});
+        for (std::int64_t n : {1, 2, 3, 16, 17}) {
+            Int8Tensor a = randomMatrix(n, 512, rng);
+            Int32Tensor ref = gemmReferenceBatch(a, dec);
+            for (unsigned cap : {1u, 2u, 3u, maxThreads}) {
+                setWorkerThreadCap(cap);
+                Int32Tensor got = engine::matmulCompressed(
+                    planes, BitSerialMatrix::pack(a));
+                Int32Tensor dots;
+                if (n <= 3)
+                    perDot.run(a, dots);
+                setWorkerThreadCap(0);
+                ASSERT_TRUE(got.shape() == ref.shape());
+                for (std::int64_t i = 0; i < ref.numel(); ++i) {
+                    ASSERT_EQ(got.flat(i), ref.flat(i))
+                        << "K" << k << " N" << n << " cap " << cap
+                        << " i=" << i;
+                    if (n <= 3)
+                        ASSERT_EQ(dots.flat(i), ref.flat(i))
+                            << "per-dot K" << k << " N" << n << " cap "
+                            << cap << " i=" << i;
+                }
+            }
+        }
+    }
     struct DeepShape
     {
         std::int64_t n, k, c, groupSize;
@@ -323,6 +361,30 @@ TEST(GemmCompressedTest, ExtremeProductsAtMaxDepthStayExact)
         }
     }
 }
+
+#if BBS_OBS
+TEST(GemmCompressedTest, SixteenRowPlanRunsStageTwoAsItsOnlyPoolJob)
+{
+    // At 16 rows a 256 x 256 plan's activation pack (4,096 bytes) and
+    // stage 1 (8 pairs of 128 windows) are below kMinChunkWork and run
+    // on the caller; stage 2 (128 tile rows) is the one pool job.
+    Rng rng(1313);
+    CompressedRowPlanes planes = CompressedRowPlanes::compress(
+        randomMatrix(256, 256, rng), 32, 3,
+        PruneStrategy::ZeroPointShifting);
+    engine::MatmulPlan plan = engine::defaultSession().plan(
+        engine::PackedOperand::viewCompressed(planes), {},
+        {engine::PlanKind::CompressedBatched});
+    Int8Tensor a = randomMatrix(16, 256, rng);
+    Int32Tensor out;
+    plan.run(a, out); // warm the arena
+    obs::Counter &jobs =
+        obs::Registry::global().counter("bbs_pool_jobs_total");
+    const std::uint64_t before = jobs.value();
+    plan.run(a, out);
+    EXPECT_EQ(jobs.value() - before, maxWorkerThreads() > 1 ? 1u : 0u);
+}
+#endif
 
 TEST(GemmCompressedDeathTest, PrepareRefusesGroupsPastTheLaneBound)
 {
