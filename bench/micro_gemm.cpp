@@ -327,20 +327,7 @@ main(int argc, char **argv)
         for (auto *buf : {&a0, &a1, &w0, &w1})
             for (auto &w : *buf)
                 w = rng.next();
-        // Compressed groups: 6 stored planes (clean-planes invariant:
-        // planes at and above `bits` stay zero) over 8-plane windows.
         const std::int64_t numGroups = 64;
-        const int storedBits = 6;
-        std::vector<std::uint64_t> gPlanes(
-            static_cast<std::size_t>(numGroups * kWeightBits), 0);
-        for (std::int64_t g = 0; g < numGroups; ++g)
-            for (int b = 0; b < storedBits; ++b)
-                gPlanes[static_cast<std::size_t>(g * kWeightBits + b)] =
-                    rng.next() & rng.next(); // pruning-style sparsity
-        std::vector<std::uint64_t> windows(
-            static_cast<std::size_t>(numGroups * kWeightBits));
-        for (auto &w : windows)
-            w = rng.next();
         // The stage-2 tile's operands as the GEMM builds them: two
         // compressed rows of 64 groups of 32 at two pruned columns (6
         // stored planes, stride 6), and two sample pairs' random 16-lane
@@ -415,26 +402,6 @@ main(int argc, char **argv)
                                                         w0.data(), nw);
                 },
                 static_cast<double>(nw));
-        if (active.compressedGroupDot != scalar.compressedGroupDot)
-            simdRow(
-                "compressedGroupDot", false,
-                [&] {
-                    std::int64_t s = 0;
-                    for (std::int64_t g = 0; g < numGroups; ++g)
-                        s += scalar.compressedGroupDot(
-                            gPlanes.data() + g * kWeightBits, storedBits,
-                            windows.data() + g * kWeightBits);
-                    return s;
-                },
-                [&] {
-                    std::int64_t s = 0;
-                    for (std::int64_t g = 0; g < numGroups; ++g)
-                        s += active.compressedGroupDot(
-                            gPlanes.data() + g * kWeightBits, storedBits,
-                            windows.data() + g * kWeightBits);
-                    return s;
-                },
-                static_cast<double>(numGroups * kWeightBits));
         if (active.compressedGemmTile != scalar.compressedGemmTile)
             simdRow(
                 "compressedGemmTile", false,

@@ -453,7 +453,9 @@ main(int argc, char **argv)
     const std::size_t victimShard =
         server.queues().indexFor(kModels[0].name);
 
-    std::atomic<long long> stallUntilNs{0}; ///< drain-stall fault handle
+    /// Per-shard drain stall deadlines, set by the drain warm-up and the
+    /// drain-stall fault.
+    std::vector<std::atomic<long long>> stallUntilNs(kShards);
     struct DrainShard
     {
         std::atomic<std::uint64_t> allocsPub{0};
@@ -466,14 +468,11 @@ main(int argc, char **argv)
         DrainShard &ds = drains[s];
         std::uint64_t base = ds.allocBase;
         for (;;) {
-            if (s == victimShard) {
-                long long st =
-                    stallUntilNs.load(std::memory_order_relaxed);
-                long long now = Clock::now().time_since_epoch().count();
-                if (st > now)
-                    std::this_thread::sleep_for(
-                        std::chrono::nanoseconds(st - now));
-            }
+            long long st = stallUntilNs[s].load(std::memory_order_relaxed);
+            long long now = Clock::now().time_since_epoch().count();
+            if (st > now)
+                std::this_thread::sleep_for(
+                    std::chrono::nanoseconds(st - now));
             if (ds.kill.load(std::memory_order_relaxed))
                 break;
             if (server.drainOnce(s) == 0)
@@ -554,6 +553,40 @@ main(int argc, char **argv)
             dt;
         std::this_thread::sleep_for(std::chrono::milliseconds(300));
     }
+    // ---- drain warm-up. Calibration sets no deadlines, so no drain
+    //      thread has completed an expired request yet. Every drain
+    //      stalls for 80 ms while a full batch of every model queues
+    //      with a 30 ms deadline, then a full batch of every model with
+    //      none. Each drain thread then completes one burst of expired
+    //      requests and serves one maxBatch batch of each of its models,
+    //      so its rejection scratch and batch buffers reach their
+    //      high-water marks before any gated window.
+    {
+        long long until = (Clock::now() + std::chrono::milliseconds(80))
+                              .time_since_epoch()
+                              .count();
+        for (auto &st : stallUntilNs)
+            st.store(until, std::memory_order_relaxed);
+        struct Sent
+        {
+            std::size_t mi, sample;
+            std::future<InferenceResponse> fut;
+        };
+        std::vector<Sent> sent;
+        for (std::int64_t deadlineUs : {30'000, 0})
+            for (std::size_t mi = 0; mi < kNumModels; ++mi)
+                for (std::int64_t i = 0; i < cfg.maxBatch; ++i) {
+                    std::size_t sample =
+                        static_cast<std::size_t>(i) % kPoolSize;
+                    sent.push_back({mi, sample,
+                                    server.submit(models[mi].name,
+                                                  models[mi].pool[sample],
+                                                  deadlineUs)});
+                }
+        for (Sent &s : sent)
+            checkResponse(s.mi, s.sample, s.fut.get());
+    }
+
     double offeredRps = std::max(50.0, 0.55 * capacityRps);
     std::cout << format("closed-loop capacity %.0f req/s -> open-loop "
                         "offered rate %.0f req/s\n",
@@ -691,7 +724,7 @@ main(int argc, char **argv)
         if (sleepUntilFrac(0.25)) {
             std::size_t ev =
                 faults.begin("drain-stall", sinceStart(Clock::now()));
-            stallUntilNs.store(
+            stallUntilNs[victimShard].store(
                 (Clock::now() + std::chrono::milliseconds(400))
                     .time_since_epoch()
                     .count(),

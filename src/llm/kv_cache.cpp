@@ -1,9 +1,10 @@
 #include "llm/kv_cache.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 #include "core/bitplane.hpp"
 #include "gemm/gemm.hpp"
-#include "simd/simd.hpp"
 
 namespace bbs::llm {
 
@@ -18,26 +19,59 @@ denseRow(const engine::PackedOperand &op, const char *what)
     return op.dense();
 }
 
+/** Columns [64w, 64w + @p out.size()) of the packed one-row @p m. */
+void
+decodeWord(const BitSerialMatrix &m, std::int64_t w,
+           std::span<std::int8_t> out)
+{
+    PackedGroup pg;
+    pg.size = static_cast<int>(out.size());
+    for (int b = 0; b < kWeightBits; ++b)
+        pg.planes[static_cast<std::size_t>(b)] = m.rowPlane(b, 0)[w];
+    unpackGroup(pg, out);
+}
+
+/** out[t] = q . k_t over @p n contiguous dHead-wide rows from @p k. */
+void
+dotRows(const std::int8_t *q, const std::int8_t *k, std::int64_t n,
+        std::int64_t dHead, std::int32_t *out)
+{
+    for (std::int64_t t = 0; t < n; ++t, k += dHead) {
+        std::int32_t s = 0;
+        for (std::int64_t d = 0; d < dHead; ++d)
+            s += static_cast<std::int32_t>(q[d]) * k[d];
+        out[t] = s;
+    }
+}
+
+/** acc[d] += sum over t < @p n of c[t] * v_t[d], rows from @p v. */
+void
+accumulateRows(const std::int8_t *c, const std::int8_t *v, std::int64_t n,
+               std::int64_t dHead, std::int32_t *acc)
+{
+    for (std::int64_t t = 0; t < n; ++t, v += dHead) {
+        const std::int32_t ct = c[t];
+        for (std::int64_t d = 0; d < dHead; ++d)
+            acc[d] += ct * v[d];
+    }
+}
+
 } // namespace
 
 KvCache::KvCache(const KvCacheConfig &cfg) : cfg_(cfg)
 {
     BBS_REQUIRE(cfg.layers > 0 && cfg.heads > 0, "KvCache needs layers/heads");
     BBS_REQUIRE(cfg.dHead >= 1 && cfg.dHead <= 64,
-                "KvCache head width must be 1..64 (one packGroup per "
-                "token), got ", cfg.dHead);
-    BBS_REQUIRE(cfg.capacity > 0, "KvCache needs a positive capacity");
-    cfg_.capacity = (cfg.capacity + 63) / 64 * 64;
-    vWordsPerDim_ = cfg_.capacity / 64;
+                "KvCache head width must be 1..64, got ", cfg.dHead);
+    BBS_REQUIRE(cfg.capacity >= 1 && cfg.capacity <= kMaxGemmDepth,
+                "KvCache capacity ", cfg.capacity, " outside 1..",
+                kMaxGemmDepth, " (the INT32 weighted-value bound)");
 
-    std::int64_t planes = cfg_.layers * cfg_.heads;
-    // resize() value-initialises: every plane word starts zero, which is
-    // the packed encoding of value 0 — unwritten tokens are
-    // indistinguishable from packed zeros.
-    kWords_.resize(static_cast<std::size_t>(planes * cfg_.capacity *
-                                            kWeightBits));
-    vWords_.resize(static_cast<std::size_t>(planes * cfg_.dHead *
-                                            vWordsPerDim_ * kWeightBits));
+    // resize() value-initialises: unwritten tokens are zero rows.
+    std::size_t rowValues = static_cast<std::size_t>(
+        cfg_.layers * cfg_.heads * cfg_.capacity * cfg_.dHead);
+    kRows_.resize(rowValues);
+    vRows_.resize(rowValues);
     kScales_.resize(static_cast<std::size_t>(cfg_.layers * cfg_.capacity),
                     1.0f);
     vScales_.resize(static_cast<std::size_t>(cfg_.layers * cfg_.capacity),
@@ -48,7 +82,7 @@ std::int64_t
 KvCache::residentBytes() const
 {
     return static_cast<std::int64_t>(
-        (kWords_.size() + vWords_.size()) * sizeof(std::uint64_t) +
+        kRows_.size() + vRows_.size() +
         (kScales_.size() + vScales_.size()) * sizeof(float));
 }
 
@@ -65,33 +99,43 @@ KvCache::append(std::int64_t layer, std::int64_t pos,
                    k.size() == v.size(),
                "append rows must hold heads*dHead values");
 
-    std::int64_t word = pos >> 6;
-    std::uint64_t bit = 1ull << (pos & 63);
     for (std::int64_t h = 0; h < cfg_.heads; ++h) {
-        // K: the token's per-head k-vector is one packGroup, whose eight
-        // plane words ARE the token's group.
-        PackedGroup pg = packGroup(
-            k.subspan(static_cast<std::size_t>(h * cfg_.dHead),
-                      static_cast<std::size_t>(cfg_.dHead)));
-        std::uint64_t *kg = kWords_.data() + kOffset(layer, h, pos);
-        for (int b = 0; b < kWeightBits; ++b)
-            kg[b] = pg.planes[static_cast<std::size_t>(b)];
-
-        // V: set bit pos%64 in each plane of every dimension's group for
-        // word pos/64. Storage starts zero and tokens only ever OR bits
-        // in, so no read-modify cycle can disturb earlier tokens.
-        const std::int8_t *vRow =
-            v.data() + static_cast<std::size_t>(h * cfg_.dHead);
-        for (std::int64_t d = 0; d < cfg_.dHead; ++d) {
-            std::uint8_t enc = static_cast<std::uint8_t>(vRow[d]);
-            std::uint64_t *vg = vWords_.data() + vOffset(layer, h, d, word);
-            for (int b = 0; b < kWeightBits; ++b)
-                if ((enc >> b) & 1u)
-                    vg[b] |= bit;
-        }
+        std::size_t from = static_cast<std::size_t>(h * cfg_.dHead);
+        std::size_t to = static_cast<std::size_t>(rowOffset(layer, h, pos));
+        std::copy_n(k.data() + from, cfg_.dHead, kRows_.data() + to);
+        std::copy_n(v.data() + from, cfg_.dHead, vRows_.data() + to);
     }
     kScales_[static_cast<std::size_t>(layer * cfg_.capacity + pos)] = kScale;
     vScales_[static_cast<std::size_t>(layer * cfg_.capacity + pos)] = vScale;
+}
+
+void
+KvCache::scores(std::int64_t layer, std::int64_t head,
+                std::span<const std::int8_t> q,
+                std::span<std::int32_t> out) const
+{
+    std::int64_t tokens = static_cast<std::int64_t>(out.size());
+    BBS_REQUIRE(static_cast<std::int64_t>(q.size()) == cfg_.dHead,
+                "query width ", q.size(), " != head width ", cfg_.dHead);
+    BBS_REQUIRE(tokens >= 1 && tokens <= cfg_.capacity, "score tokens ",
+                tokens, " outside 1..", cfg_.capacity);
+    dotRows(q.data(), kRow(layer, head, 0), tokens, cfg_.dHead, out.data());
+}
+
+void
+KvCache::values(std::int64_t layer, std::int64_t head,
+                std::span<const std::int8_t> c,
+                std::span<std::int32_t> out) const
+{
+    std::int64_t tokens = static_cast<std::int64_t>(c.size());
+    BBS_REQUIRE(tokens <= cfg_.capacity, "probability row width ", tokens,
+                " exceeds the cache capacity ", cfg_.capacity);
+    BBS_REQUIRE(static_cast<std::int64_t>(out.size()) == cfg_.dHead,
+                "weighted-value width ", out.size(), " != head width ",
+                cfg_.dHead);
+    std::fill(out.begin(), out.end(), 0);
+    accumulateRows(c.data(), vRow(layer, head, 0), tokens, cfg_.dHead,
+                   out.data());
 }
 
 void
@@ -104,15 +148,11 @@ KvCache::scores(std::int64_t layer, std::int64_t head,
                 " != head width ", cfg_.dHead);
     BBS_REQUIRE(tokens >= 1 && tokens <= cfg_.capacity, "score tokens ",
                 tokens, " outside 1..", cfg_.capacity);
-    std::uint64_t qw[kWeightBits];
-    for (int b = 0; b < kWeightBits; ++b)
-        qw[b] = qm.rowPlane(b, 0)[0];
+    std::int8_t q8[64]; // dHead <= 64: one word per plane
+    decodeWord(qm, 0, {q8, static_cast<std::size_t>(cfg_.dHead)});
     bbs::detail::ensureOutputShape(out, 1, tokens);
-    const SimdKernels &simd = simdKernels();
-    const std::uint64_t *kg = kGroup(layer, head, 0);
-    for (std::int64_t t = 0; t < tokens; ++t, kg += kWeightBits)
-        out.at(0, t) = static_cast<std::int32_t>(
-            simd.compressedGroupDot(kg, kWeightBits, qw));
+    scores(layer, head, {q8, static_cast<std::size_t>(cfg_.dHead)},
+           {&out.at(0, 0), static_cast<std::size_t>(tokens)});
 }
 
 void
@@ -122,19 +162,15 @@ KvCache::values(std::int64_t layer, std::int64_t head,
     const BitSerialMatrix &cm = denseRow(c, "the probability row");
     BBS_REQUIRE(cm.cols() <= cfg_.capacity, "probability row width ",
                 cm.cols(), " exceeds the cache capacity ", cfg_.capacity);
-    std::int64_t acc[64] = {}; // dHead <= 64
-    const SimdKernels &simd = simdKernels();
-    for (std::int64_t w = 0; w < cm.usedColWords(); ++w) {
-        std::uint64_t cw[kWeightBits];
-        for (int b = 0; b < kWeightBits; ++b)
-            cw[b] = cm.rowPlane(b, 0)[w];
-        for (std::int64_t d = 0; d < cfg_.dHead; ++d)
-            acc[d] += simd.compressedGroupDot(vGroup(layer, head, d, w),
-                                              kWeightBits, cw);
-    }
     bbs::detail::ensureOutputShape(out, 1, cfg_.dHead);
-    for (std::int64_t d = 0; d < cfg_.dHead; ++d)
-        out.at(0, d) = static_cast<std::int32_t>(acc[d]);
+    std::int32_t *acc = &out.at(0, 0);
+    std::fill_n(acc, cfg_.dHead, 0);
+    for (std::int64_t w = 0; w < cm.usedColWords(); ++w) {
+        std::int64_t n = std::min<std::int64_t>(64, cm.cols() - 64 * w);
+        std::int8_t c8[64];
+        decodeWord(cm, w, {c8, static_cast<std::size_t>(n)});
+        accumulateRows(c8, vRow(layer, head, 64 * w), n, cfg_.dHead, acc);
+    }
 }
 
 } // namespace bbs::llm

@@ -1,40 +1,28 @@
 /**
  * @file
- * Compressed-domain KV cache: per-(layer, head) key/value bit planes
- * stored as compact 8-word plane groups, appended to incrementally.
+ * KV cache of plain INT8 rows: per (layer, head), one dHead-wide key row
+ * and one value row per token, appended to incrementally.
  *
- * Each decode step packs ONLY the new token's K/V rows into the existing
- * planes — prior tokens are never repacked — and attention's score and
- * weighted-value products run over the dispatched AND+popcount kernel
- * `compressedGroupDot` (with all eight two's-complement planes stored):
- * one call per token for a score, one per (dimension, 64-token word) for
- * a weighted value.
+ * BBS compresses the projection weights offline; K and V are dense INT8
+ * activations that nothing prunes, so attention's products over them are
+ * exact int8 x int8 -> int32 dot loops (the compiler vectorizes them
+ * under -march=native), not bit-serial ones.
  *
- * Layouts (one 64-byte-aligned, zero-initialised store each, fixed
- * capacity chosen at construction, no padding words):
+ * Layout: K and V are each one 64-byte-aligned, zero-initialised store
+ * `[layer][head][token][dHead]`, so a (layer, head)'s tokens are
+ * contiguous rows and an append is one row copy per head for K and one
+ * for V. Beside them sit one K and one V dequantisation scale per
+ * (layer, token), shared by every head. Capacity is exactly the
+ * requested token count, at most kMaxGemmDepth: that bound keeps every
+ * weighted-value sum (capacity products of at most 2^14) inside int32.
  *
- *  - **K, token-major**: `[layer][head][token][bit]`. dHead <= 64, so a
- *    token's whole k-vector is one `packGroup` and its 8 plane words are
- *    the token's group (bit d of plane b = bit b of k[d]) — word-identical
- *    to row t of `BitSerialMatrix::pack` of the [capacity, dHead] token
- *    matrix (the append test pins this).
- *  - **V, dim-major**: `[layer][head][dim][word][bit]`, one group per
- *    dimension per 64 tokens: token t sets bit t%64 of word t/64's planes
- *    — word-identical to `BitSerialMatrix::pack` of the [dHead, capacity]
- *    transpose.
- *
- * `scores()` takes a packed [1, dHead] query; `values()` takes a packed
- * probability row of width c <= capacity and reads only the ceil(c/64)
- * words it covers. Its columns at and beyond the token count must be
- * zero; V bits there are zero too, so either side ANDs them away.
- *
- * Concurrency contract: one writer (the decode thread). Concurrent
- * reader threads may consume the committed prefix after an acquire of
- * `length()`: every K group of a token < length, and V words strictly
- * below length/64 (the in-fill V word is writer-private until it fills
- * — a word holds 64 tokens' bits, so readers bound word access to
- * `length() >> 6`). The decode thread itself reads its own writes and
- * has no such restriction.
+ * Concurrency: one writer appends; a step's attention reads the rows
+ * after its own appends. TransformerModel::forward appends every row of
+ * a layer on the calling thread, then runs that layer's attention on
+ * pool helpers, which see the appends through the pool's mutex handoff.
+ * Readers in other threads consume only the committed prefix, after an
+ * acquire of `length()`: rows of tokens < length are never written
+ * again, and appends write only rows at or beyond it.
  */
 #ifndef BBS_LLM_KV_CACHE_HPP
 #define BBS_LLM_KV_CACHE_HPP
@@ -55,14 +43,14 @@ struct KvCacheConfig
     std::int64_t layers = 0;
     std::int64_t heads = 0;
     std::int64_t dHead = 0;    ///< per-head width, 1..64
-    std::int64_t capacity = 0; ///< max tokens; rounded up to 64 inside
+    std::int64_t capacity = 0; ///< max tokens, 1..kMaxGemmDepth
 };
 
-/** One sequence's K/V plane groups for every (layer, head). */
+/** One sequence's K/V rows for every (layer, head). */
 class KvCache
 {
   public:
-    /** Allocates the full-capacity plane stores (zeroed). */
+    /** Allocates the full-capacity row stores (zeroed). */
     explicit KvCache(const KvCacheConfig &cfg);
 
     KvCache(const KvCache &) = delete;
@@ -80,7 +68,7 @@ class KvCache
         return length_.load(std::memory_order_acquire);
     }
 
-    /** Bytes resident in plane stores + scales (capacity, not length —
+    /** Bytes resident in row stores + scales (capacity, not length —
      *  the stores are fully allocated up front). */
     std::int64_t residentBytes() const;
 
@@ -88,9 +76,8 @@ class KvCache
      * Append token @p pos's K/V rows for one layer: @p k / @p v are the
      * head-major int8 rows (heads * dHead values), @p kScale / @p vScale
      * the row's dequantisation scales (one per layer-token, shared by
-     * every head). @p pos must be length() + (tokens appended this step
-     * so far) — the layer loop appends each layer at the same @p pos,
-     * then commit() publishes. Only the decode thread calls this.
+     * every head). The layer loop appends each layer at the same @p pos,
+     * then commit() publishes. Only the writer calls this.
      */
     void append(std::int64_t layer, std::int64_t pos,
                 std::span<const std::int8_t> k, float kScale,
@@ -114,64 +101,62 @@ class KvCache
         return vScales_[static_cast<std::size_t>(layer * cfg_.capacity + t)];
     }
 
+    /** Token @p t's dHead-wide K row of (@p layer, @p head). */
+    const std::int8_t *
+    kRow(std::int64_t layer, std::int64_t head, std::int64_t t) const
+    {
+        return kRows_.data() + rowOffset(layer, head, t);
+    }
+    /** Token @p t's dHead-wide V row of (@p layer, @p head). */
+    const std::int8_t *
+    vRow(std::int64_t layer, std::int64_t head, std::int64_t t) const
+    {
+        return vRows_.data() + rowOffset(layer, head, t);
+    }
+
     /**
-     * Attention scores: @p q is the packed [1, dHead] query operand;
-     * writes @p out [1, tokens] of integer dots against K tokens
-     * 0..tokens-1 (1 <= tokens <= capacity).
+     * Attention scores: out[t] = q . k_t for every t < out.size()
+     * (1..capacity tokens); @p q holds dHead values.
+     */
+    void scores(std::int64_t layer, std::int64_t head,
+                std::span<const std::int8_t> q,
+                std::span<std::int32_t> out) const;
+
+    /**
+     * Weighted values: out[d] = sum over t < c.size() of c[t] * v_t[d];
+     * @p c is the quantised probability row (at most capacity tokens),
+     * @p out holds dHead values.
+     */
+    void values(std::int64_t layer, std::int64_t head,
+                std::span<const std::int8_t> c,
+                std::span<std::int32_t> out) const;
+
+    /**
+     * scores() and values() on bit-plane packed rows, with the same
+     * results: @p q is a packed [1, dHead] query; @p c a packed
+     * [1, width] probability row, width <= capacity, whose columns at and
+     * beyond the token count are zero. They decode 64 columns at a time
+     * into a stack buffer and run the int8 loops, so they need no
+     * scratch. They stay for servebench's attention replay until a
+     * benchmark change moves it to the int8 entry points.
      */
     void scores(std::int64_t layer, std::int64_t head,
                 const engine::PackedOperand &q, std::int64_t tokens,
                 Int32Tensor &out) const;
-
-    /**
-     * Weighted-value product: @p c is the packed [1, width] quantised
-     * probability row, width <= capacity (columns at and beyond the
-     * token count MUST be zero); writes @p out [1, dHead].
-     */
     void values(std::int64_t layer, std::int64_t head,
                 const engine::PackedOperand &c, Int32Tensor &out) const;
 
-    /** Token @p t's K group: kWeightBits plane words, bit d of plane b
-     *  = bit b of k[d]. */
-    const std::uint64_t *
-    kGroup(std::int64_t layer, std::int64_t head, std::int64_t t) const
-    {
-        return kWords_.data() + kOffset(layer, head, t);
-    }
-
-    /** The V group of dimension @p d over tokens 64w..64w+63:
-     *  kWeightBits plane words, bit i of plane b = bit b of v[64w+i][d]. */
-    const std::uint64_t *
-    vGroup(std::int64_t layer, std::int64_t head, std::int64_t d,
-           std::int64_t w) const
-    {
-        return vWords_.data() + vOffset(layer, head, d, w);
-    }
-
   private:
     std::int64_t
-    planeIndex(std::int64_t layer, std::int64_t head) const
+    rowOffset(std::int64_t layer, std::int64_t head, std::int64_t t) const
     {
-        return layer * cfg_.heads + head;
-    }
-    std::int64_t
-    kOffset(std::int64_t layer, std::int64_t head, std::int64_t t) const
-    {
-        return (planeIndex(layer, head) * cfg_.capacity + t) * kWeightBits;
-    }
-    std::int64_t
-    vOffset(std::int64_t layer, std::int64_t head, std::int64_t d,
-            std::int64_t w) const
-    {
-        return ((planeIndex(layer, head) * cfg_.dHead + d) * vWordsPerDim_ +
-                w) *
-               kWeightBits;
+        return ((layer * cfg_.heads + head) * cfg_.capacity + t) *
+               cfg_.dHead;
     }
 
     KvCacheConfig cfg_;
-    std::int64_t vWordsPerDim_ = 0; ///< capacity / 64
-    AlignedVector<std::uint64_t> kWords_;
-    AlignedVector<std::uint64_t> vWords_;
+    AlignedVector<std::int8_t> kRows_; ///< [layer][head][token][dHead]
+    AlignedVector<std::int8_t> vRows_;
     std::vector<float> kScales_; ///< [layer * capacity + token]
     std::vector<float> vScales_;
     std::atomic<std::int64_t> length_{0};

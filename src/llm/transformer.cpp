@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/logging.hpp"
+#include "common/parallel.hpp"
 #include "gemm/gemm.hpp"
 
 namespace bbs::llm {
@@ -73,12 +74,6 @@ silu(float x)
 
 } // namespace
 
-TransformerModel::Workspace::Workspace()
-    : qOp(engine::PackedOperand::viewDense(qPacked)),
-      cOp(engine::PackedOperand::viewDense(cPacked))
-{
-}
-
 TransformerModel::TransformerModel(const TransformerConfig &cfg,
                                    engine::EngineConfig engineCfg)
     : cfg_(cfg), session_(std::move(engineCfg))
@@ -87,15 +82,14 @@ TransformerModel::TransformerModel(const TransformerConfig &cfg,
                 "dModel must divide into heads");
     std::int64_t dHead = cfg.dHead();
     BBS_REQUIRE(dHead >= 2 && dHead <= 64 && dHead % 2 == 0,
-                "head width must be even and 2..64 (one packGroup per "
-                "token, RoPE pairs), got ", dHead);
+                "head width must be even (RoPE pairs) and 2..64, got ",
+                dHead);
     BBS_REQUIRE(cfg.dModel % cfg.groupSize == 0 &&
                     cfg.dFf % cfg.groupSize == 0,
                 "dModel and dFf must be multiples of the BBS group size");
     BBS_REQUIRE(cfg.nLayers >= 1 && cfg.vocab >= 2 && cfg.maxSeq >= 1,
                 "degenerate transformer shape");
-    BBS_REQUIRE((cfg.maxSeq + 63) / 64 * 64 <= kMaxGemmDepth &&
-                    cfg.dFf <= kMaxGemmDepth,
+    BBS_REQUIRE(cfg.maxSeq <= kMaxGemmDepth && cfg.dFf <= kMaxGemmDepth,
                 "sequence capacity / dFf exceed the INT32 GEMM depth bound");
 
     emb_ = Int8Tensor(Shape{cfg.vocab, cfg.dModel});
@@ -167,71 +161,53 @@ TransformerModel::makeCache(std::int64_t capacity) const
 }
 
 void
-TransformerModel::attentionRow(const StepRow &row, std::int64_t layer,
-                               Workspace &ws, std::int64_t r) const
+TransformerModel::attendHead(const StepRow &row, std::int64_t layer,
+                             std::int64_t r, std::int64_t h,
+                             std::int64_t maxT, Workspace &ws) const
 {
-    KvCache *cache = row.cache;
-    std::int64_t dModel = cfg_.dModel;
+    const KvCache &cache = *row.cache;
     std::int64_t dHead = cfg_.dHead();
-    std::int64_t T = row.pos + 1;
-    std::size_t rowOff = static_cast<std::size_t>(r * dModel);
-    std::span<const float> kRow{ws.kf.data() + rowOff,
-                                static_cast<std::size_t>(dModel)};
-    std::span<const float> vRow{ws.vf.data() + rowOff,
-                                static_cast<std::size_t>(dModel)};
-    std::span<const float> qRow{ws.qf.data() + rowOff,
-                                static_cast<std::size_t>(dModel)};
+    std::size_t T = static_cast<std::size_t>(row.pos + 1);
+    std::size_t slice =
+        static_cast<std::size_t>((r * cfg_.nHeads + h) * maxT);
+    std::size_t headOff = static_cast<std::size_t>(r * cfg_.dModel +
+                                                   h * dHead);
+    std::int32_t *s32 = ws.scores.data() + slice;
+    float *probs = ws.probs.data() + slice;
+    std::int8_t *c8 = ws.c8.data() + slice;
+    cache.scores(layer, h,
+                 {ws.q8.data() + headOff, static_cast<std::size_t>(dHead)},
+                 {s32, T});
 
-    // This token's K/V rows land in the cache before its own attention
-    // runs; earlier rows of the same sequence in this batch have already
-    // appended (ascending-position contract), so rows 0..T-1 all hold
-    // tokens.
-    float kScale = quantizeRowTo(kRow, ws.k8.data());
-    float vScale = quantizeRowTo(vRow, ws.v8.data());
-    cache->append(layer, row.pos,
-                  {ws.k8.data(), static_cast<std::size_t>(dModel)}, kScale,
-                  {ws.v8.data(), static_cast<std::size_t>(dModel)}, vScale);
-    float qScale = quantizeRowTo(qRow, ws.q8.data());
-
+    // Softmax over the dequantised integer scores, then fold each
+    // token's V dequant scale into the probability so the weighted
+    // value stays one exact integer product.
+    float qScale = ws.qScale[static_cast<std::size_t>(r)];
     float invSqrt = 1.0f / std::sqrt(static_cast<float>(dHead));
-    for (std::int64_t h = 0; h < cfg_.nHeads; ++h) {
-        BitSerialMatrix::packInto(
-            {ws.q8.data() + static_cast<std::size_t>(h * dHead),
-             static_cast<std::size_t>(dHead)},
-            1, dHead, ws.qPacked);
-        cache->scores(layer, h, ws.qOp, T, ws.s32);
-
-        // Softmax over the dequantised integer scores, then fold each
-        // token's V dequant scale into the probability so the weighted
-        // value stays one exact integer product.
-        float maxv = -std::numeric_limits<float>::infinity();
-        for (std::int64_t t = 0; t < T; ++t) {
-            float s = static_cast<float>(ws.s32.at(0, t)) * qScale *
-                      cache->kScale(layer, t) * invSqrt;
-            ws.probs[static_cast<std::size_t>(t)] = s;
-            maxv = std::max(maxv, s);
-        }
-        double sum = 0.0;
-        for (std::int64_t t = 0; t < T; ++t) {
-            float e = std::exp(ws.probs[static_cast<std::size_t>(t)] - maxv);
-            ws.probs[static_cast<std::size_t>(t)] = e;
-            sum += static_cast<double>(e);
-        }
-        float invSum = 1.0f / static_cast<float>(sum);
-        for (std::int64_t t = 0; t < T; ++t)
-            ws.cFloat[static_cast<std::size_t>(t)] =
-                ws.probs[static_cast<std::size_t>(t)] * invSum *
-                cache->vScale(layer, t);
-        float cs = quantizeRowTo(
-            {ws.cFloat.data(), static_cast<std::size_t>(T)}, ws.c8.data());
-        BitSerialMatrix::packInto(
-            {ws.c8.data(), static_cast<std::size_t>(T)}, 1, T, ws.cPacked);
-        cache->values(layer, h, ws.cOp, ws.o32);
-        float *attnOut = ws.attn.data() + rowOff +
-                         static_cast<std::size_t>(h * dHead);
-        for (std::int64_t d = 0; d < dHead; ++d)
-            attnOut[d] = static_cast<float>(ws.o32.at(0, d)) * cs;
+    float maxv = -std::numeric_limits<float>::infinity();
+    for (std::size_t t = 0; t < T; ++t) {
+        float s = static_cast<float>(s32[t]) * qScale *
+                  cache.kScale(layer, static_cast<std::int64_t>(t)) *
+                  invSqrt;
+        probs[t] = s;
+        maxv = std::max(maxv, s);
     }
+    double sum = 0.0;
+    for (std::size_t t = 0; t < T; ++t) {
+        float e = std::exp(probs[t] - maxv);
+        probs[t] = e;
+        sum += static_cast<double>(e);
+    }
+    float invSum = 1.0f / static_cast<float>(sum);
+    for (std::size_t t = 0; t < T; ++t)
+        probs[t] = probs[t] * invSum *
+                   cache.vScale(layer, static_cast<std::int64_t>(t));
+    float cs = quantizeRowTo({probs, T}, c8);
+    std::int32_t o32[64]; // dHead <= 64
+    cache.values(layer, h, {c8, T}, {o32, static_cast<std::size_t>(dHead)});
+    float *attnOut = ws.attn.data() + headOff;
+    for (std::int64_t d = 0; d < dHead; ++d)
+        attnOut[d] = static_cast<float>(o32[d]) * cs;
 }
 
 void
@@ -242,7 +218,7 @@ TransformerModel::forward(std::span<StepRow> rows, Workspace &ws) const
     std::int64_t dModel = cfg_.dModel;
     std::int64_t dHead = cfg_.dHead();
     std::int64_t half = dHead / 2;
-    std::int64_t maxCap = 0;
+    std::int64_t maxT = 0, maxCap = 0;
     for (const StepRow &row : rows) {
         BBS_REQUIRE(row.cache != nullptr, "row without a cache");
         BBS_REQUIRE(row.token >= 0 && row.token < cfg_.vocab,
@@ -250,6 +226,7 @@ TransformerModel::forward(std::span<StepRow> rows, Workspace &ws) const
         BBS_REQUIRE(row.pos >= 0 && row.pos < cfg_.maxSeq &&
                         row.pos < row.cache->capacity(),
                     "position ", row.pos, " out of range");
+        maxT = std::max(maxT, row.pos + 1);
         maxCap = std::max(maxCap, row.cache->capacity());
     }
 
@@ -264,17 +241,22 @@ TransformerModel::forward(std::span<StepRow> rows, Workspace &ws) const
     ws.rowScale.resize(static_cast<std::size_t>(R));
     ws.k8.resize(static_cast<std::size_t>(dModel));
     ws.v8.resize(static_cast<std::size_t>(dModel));
-    ws.q8.resize(static_cast<std::size_t>(dModel));
-    ws.c8.resize(static_cast<std::size_t>(maxCap));
-    ws.probs.resize(static_cast<std::size_t>(maxCap));
-    ws.cFloat.resize(static_cast<std::size_t>(maxCap));
-    // Score row and packed probability row at their high-water marks up
-    // front: both are sized to the live token count, which grows every
-    // step — left to amortized vector growth they would still reallocate
-    // mid-decode, breaking the zero-alloc steady state (micro_llm gates
-    // this).
-    ws.s32.resizeTo(Shape{1, maxCap});
-    ws.cPacked.reserve(1, maxCap);
+    ws.q8.resize(rd);
+    ws.qScale.resize(static_cast<std::size_t>(R));
+    // Attention's per-(row, head) slices have stride maxT and never
+    // shrink. Reserving for the rows' largest capacity keeps decode
+    // allocation-free while the context grows; only the first
+    // R * heads * maxT entries are ever written, so the resident part
+    // follows the context, not the capacity.
+    std::size_t slices = static_cast<std::size_t>(R * cfg_.nHeads * maxT);
+    auto growSlices = [&](auto &v) {
+        v.reserve(static_cast<std::size_t>(R * cfg_.nHeads * maxCap));
+        if (v.size() < slices)
+            v.resize(slices);
+    };
+    growSlices(ws.scores);
+    growSlices(ws.probs);
+    growSlices(ws.c8);
 
     // Embedding lookup.
     for (std::int64_t r = 0; r < R; ++r) {
@@ -325,10 +307,11 @@ TransformerModel::forward(std::span<StepRow> rows, Workspace &ws) const
         L.v.run(ws.a8, ws.y32);
         dequantBatch(ws.vf, dModel, false);
 
+        // Phase 1, serial: RoPE rotates q and k in place, per head, at
+        // the row's position; K/V join the cache and the query is
+        // quantised for phase 2.
         for (std::int64_t r = 0; r < R; ++r) {
             const StepRow &row = rows[static_cast<std::size_t>(r)];
-            // RoPE rotates q and k in-place, per head, at this row's
-            // position.
             const float *cosP =
                 ropeCos_.data() + static_cast<std::size_t>(row.pos * half);
             const float *sinP =
@@ -344,8 +327,24 @@ TransformerModel::forward(std::span<StepRow> rows, Workspace &ws) const
                     }
                 }
             }
-            attentionRow(row, layer, ws, r);
+            std::size_t rowOff = static_cast<std::size_t>(r * dModel);
+            std::size_t width = static_cast<std::size_t>(dModel);
+            float kScale =
+                quantizeRowTo({ws.kf.data() + rowOff, width}, ws.k8.data());
+            float vScale =
+                quantizeRowTo({ws.vf.data() + rowOff, width}, ws.v8.data());
+            row.cache->append(layer, row.pos, {ws.k8.data(), width}, kScale,
+                              {ws.v8.data(), width}, vScale);
+            ws.qScale[static_cast<std::size_t>(r)] = quantizeRowTo(
+                {ws.qf.data() + rowOff, width}, ws.q8.data() + rowOff);
         }
+
+        // Phase 2, one parallel region over (row, head).
+        parallelFor(R * cfg_.nHeads, [&](std::int64_t task) {
+            std::int64_t r = task / cfg_.nHeads;
+            attendHead(rows[static_cast<std::size_t>(r)], layer, r,
+                       task % cfg_.nHeads, maxT, ws);
+        }, chunkForWork(2 * maxT * dHead));
 
         quantizeBatch(ws.attn, dModel);
         L.o.run(ws.a8, ws.y32);

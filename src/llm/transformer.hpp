@@ -6,17 +6,22 @@
  * LM head — is a BBS-compressed `PackedOperand` with its own
  * `MatmulPlan`, all created from one `Session` (so they share the
  * session's tuning cache, and their runs share the per-thread scratch
- * arenas). Attention's score and weighted-value products run over the
- * same AND+popcount kernel, straight on the `KvCache` plane groups (K
- * token-major `[layer][head][token][bit]`, V dim-major
- * `[layer][head][dim][word][bit]`; see llm/kv_cache.hpp): a row at
- * position p packs its query at dHead columns and its quantised
- * probability row at T = p + 1 <= capacity columns, so both products
- * touch only the tokens that exist. Softmax, RMSNorm, RoPE and the INT8
- * quantisation glue are plain per-row float kernels.
+ * arenas). BBS covers those projection weights only. K and V are dense
+ * INT8 activations, kept as plain int8 rows in the `KvCache` (see
+ * llm/kv_cache.hpp), and attention's score and weighted-value products
+ * are exact int8 dot loops over them. Softmax, RMSNorm, RoPE and the
+ * INT8 quantisation glue are plain per-row float kernels.
+ *
+ * Attention runs in two phases per layer. Phase 1, serial over the
+ * step's rows, applies RoPE, appends each row's K/V at its position and
+ * quantises its query. Phase 2 is one parallel region over (row, head):
+ * each task scores a row at position p against tokens 0..p, takes the
+ * softmax, quantises its probability row and weighs V into its slice of
+ * the head-concat output. A row reads only tokens <= p, so the rows a
+ * prefill chunk appended after it change nothing.
  *
  * Cache contract: a step appends each row's K/V at its position before
- * that row's attention runs, and commits every cache's new length
+ * any attention of that layer runs, and commits every cache's new length
  * (pos + 1 of its last row) only after the whole step, so a reader of
  * `length()` never sees a token with a layer still missing.
  *
@@ -81,15 +86,10 @@ class TransformerModel
     /**
      * Per-caller step scratch: every buffer grows to its high-water mark
      * once, after which forward() performs no allocation (the zero-alloc
-     * decode gate). Non-copyable: the packed-activation operands view
-     * the workspace's own matrices.
+     * decode gate).
      */
     struct Workspace
     {
-        Workspace();
-        Workspace(const Workspace &) = delete;
-        Workspace &operator=(const Workspace &) = delete;
-
         std::vector<float> x;     ///< [R, dModel] residual stream
         std::vector<float> norm;  ///< [R, max(dModel, dFf)] normed / MLP
         std::vector<float> qf;    ///< [R, dModel] dequantised queries
@@ -98,20 +98,17 @@ class TransformerModel
         std::vector<float> attn;  ///< [R, dModel] head-concat outputs
         std::vector<float> rowScale; ///< [R] activation scales
         std::vector<float> gatherNorm; ///< [G, dModel] logit-row gather
-        std::vector<std::int8_t> k8, v8, q8; ///< one row each
-        std::vector<std::int8_t> c8;         ///< [T] prob row (capacity-sized)
-        std::vector<float> probs;            ///< [T]
-        std::vector<float> cFloat;           ///< [T]
+        std::vector<std::int8_t> k8, v8; ///< one row each
+        std::vector<std::int8_t> q8;     ///< [R, dModel] quantised queries
+        std::vector<float> qScale;       ///< [R]
+        /** Per-(row, head) attention slices, [R * heads, maxT] with maxT
+         *  the step's largest position + 1; they only grow. */
+        std::vector<std::int32_t> scores;
+        std::vector<float> probs;
+        std::vector<std::int8_t> c8; ///< quantised probability rows
         Int8Tensor a8;      ///< batched plan activations
         Int32Tensor y32;    ///< batched plan outputs
-        Int32Tensor s32;    ///< [1, T] attention scores
-        Int32Tensor o32;    ///< [1, dHead] weighted values
         Int32Tensor logits32;
-        BitSerialMatrix qPacked; ///< [1, dHead] packed query
-        BitSerialMatrix cPacked; ///< [1, T] packed prob row (reserved to
-                                 ///< the largest capacity)
-        engine::PackedOperand qOp; ///< view over qPacked (built once)
-        engine::PackedOperand cOp; ///< view over cPacked
     };
 
     explicit TransformerModel(const TransformerConfig &cfg,
@@ -126,7 +123,7 @@ class TransformerModel
     /**
      * One step over a batch of rows. Rows belonging to the same cache
      * must appear in ascending position order with no gaps (a prefill
-     * chunk); each row's K/V lands in its cache before its own attention
+     * chunk); each layer appends every row's K/V before its attention
      * runs, and the new lengths are committed at the end. `next` is
      * filled for wantLogits rows.
      */
@@ -148,8 +145,9 @@ class TransformerModel
         std::vector<float> gammaAttn, gammaMlp;
     };
 
-    void attentionRow(const StepRow &row, std::int64_t layer,
-                      Workspace &ws, std::int64_t r) const;
+    void attendHead(const StepRow &row, std::int64_t layer,
+                    std::int64_t r, std::int64_t h, std::int64_t maxT,
+                    Workspace &ws) const;
 
     TransformerConfig cfg_;
     engine::Session session_;

@@ -67,8 +67,10 @@ RequestQueue::completeRejections(std::vector<Rejection> &rejected)
     // An onComplete callback may call back into a queue on this thread
     // (submit-on-completion), which would land new rejections in the
     // same thread_local scratch — steal the buffer first so nested
-    // pushes never mutate the vector being iterated. The capacity is
-    // handed back afterwards, keeping the steady state allocation-free.
+    // pushes never mutate the vector being iterated. The emptied buffer
+    // is handed back afterwards (nested calls have completed theirs), so
+    // the scratch keeps its capacity and the steady state stays
+    // allocation-free.
     if (rejected.empty())
         return;
     std::vector<Rejection> local;
@@ -97,7 +99,8 @@ RequestQueue::completeRejections(std::vector<Rejection> &rejected)
             trace_->record(span);
         }
     }
-    rejected.clear();
+    local.clear();
+    rejected.swap(local);
 }
 
 PushResult

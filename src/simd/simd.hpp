@@ -2,11 +2,21 @@
  * @file
  * Runtime-dispatched SIMD kernels for the bitwise AND+popcount substrate.
  *
- * Every hot path of the library — the dense 2x1x2 GEMM tile, the
- * compressed-domain plane products, the BBS sparsity / effectual-ops
- * scans, and the sum-of-activations reductions — bottoms out in a handful
- * of word-level kernel shapes. This layer provides those shapes as
- * function-pointer tables with three implementations:
+ * The library's bit-level hot paths bottom out in a handful of
+ * word-level kernel shapes, one table slot each:
+ *
+ *  - popcountSum, popcountSumBytes, byteSum: plane and byte reductions
+ *    (bit sparsity, sums of activations);
+ *  - andPopcountAccumulate, andPopcountTile: the dense bit-serial GEMM
+ *    and its 2x1x2 register tile;
+ *  - weightedPlaneSum: the value sum of eight window planes;
+ *  - compressedGemmTile: the compressed GEMM's stage-2 register tile;
+ *  - effectualOpsSum, sparseBitsSum: the BBS sparsity scans.
+ *
+ * The KV cache's attention products are not here: K and V are dense INT8
+ * rows, and their int8 dot loops are plain code the compiler vectorizes.
+ * This layer provides the shapes as function-pointer tables with three
+ * implementations:
  *
  *  - **scalar**: the pre-SIMD per-word loops, kept as the always-correct
  *    fallback (and pinned non-auto-vectorized so speedup comparisons
@@ -109,32 +119,11 @@ struct SimdKernels
                             std::int64_t n, std::int64_t out[4]);
 
     /**
-     * The 8-plane weighted window reduction against a weight-plane word:
-     * sum over activation planes c of 2^c * popcount(wb & aw[c]), the
-     * sign plane (c = 7) weighing -2^7. The single-window building
-     * block: the library's hot paths run its amortized form
-     * (compressedGroupDot over a group's planes), while this slot stays
-     * dispatched as the reference shape the tests and benches pin that
-     * form against.
-     */
-    std::int64_t (*weightedPlaneDot)(std::uint64_t wb,
-                                     const std::uint64_t *aw);
-
-    /**
-     * weightedPlaneDot with wb = all-ones: the value sum encoded by eight
-     * aligned window planes (bit_serial_matrix's planeWindowSum).
+     * The value sum encoded by eight aligned window planes
+     * (bit_serial_matrix's planeWindowSum): sum over planes c of
+     * 2^c * popcount(aw[c]), the sign plane (c = 7) weighing -2^7.
      */
     std::int64_t (*weightedPlaneSum)(const std::uint64_t *aw);
-
-    /**
-     * Whole compressed-group dot: sum over stored weight planes b <
-     * @p bits of columnWeight(b, bits) * weightedPlaneDot(planes[b], aw)
-     * — the complete stored-column contribution of one BBS group to one
-     * sample, reduced in one call. The KV cache scores and weighs its
-     * plane groups with it.
-     */
-    std::int64_t (*compressedGroupDot)(const std::uint64_t *planes,
-                                       int bits, const std::uint64_t *aw);
 
     /**
      * The compressed GEMM's stage-2 register tile: two weight rows x two

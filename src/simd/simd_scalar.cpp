@@ -88,40 +88,12 @@ andPopcountTileScalar(const std::uint64_t *a0, const std::uint64_t *a1,
 }
 
 std::int64_t
-weightedPlaneDotScalar(std::uint64_t wb, const std::uint64_t *aw)
-{
-    std::int64_t s = static_cast<std::int64_t>(std::popcount(wb & aw[0]));
-    s += static_cast<std::int64_t>(std::popcount(wb & aw[1])) << 1;
-    s += static_cast<std::int64_t>(std::popcount(wb & aw[2])) << 2;
-    s += static_cast<std::int64_t>(std::popcount(wb & aw[3])) << 3;
-    s += static_cast<std::int64_t>(std::popcount(wb & aw[4])) << 4;
-    s += static_cast<std::int64_t>(std::popcount(wb & aw[5])) << 5;
-    s += static_cast<std::int64_t>(std::popcount(wb & aw[6])) << 6;
-    s -= static_cast<std::int64_t>(std::popcount(wb & aw[7])) << 7;
-    return s;
-}
-
-std::int64_t
 weightedPlaneSumScalar(const std::uint64_t *aw)
 {
     std::int64_t s = 0;
     for (int b = 0; b < kWeightBits; ++b)
         s += columnWeight(b, kWeightBits) * std::popcount(aw[b]);
     return s;
-}
-
-std::int64_t
-compressedGroupDotScalar(const std::uint64_t *planes, int bits,
-                         const std::uint64_t *aw)
-{
-    std::int64_t v = 0;
-    for (int b = 0; b < bits; ++b) {
-        std::uint64_t wb = planes[b];
-        if (wb == 0)
-            continue; // binary pruning leaves many empty planes
-        v += columnWeight(b, bits) * weightedPlaneDotScalar(wb, aw);
-    }
-    return v;
 }
 
 void
@@ -199,9 +171,7 @@ scalarKernels()
         &byteSumScalar,
         &andPopcountAccumulateScalar,
         &andPopcountTileScalar,
-        &weightedPlaneDotScalar,
         &weightedPlaneSumScalar,
-        &compressedGroupDotScalar,
         &compressedGemmTileScalar,
         &effectualOpsSumScalar,
         &sparseBitsSumScalar,

@@ -21,12 +21,11 @@
  * exactly like the scalar oracle's narrowing to int32, so the levels
  * agree on every input.
  *
- * The AVX2 table keeps the scalar weightedPlaneDot/weightedPlaneSum: an
- * eight-word window is too small for a 256-bit lookup popcount to beat
- * eight scalar POPCNTs (measured ~0.8-1.0x), and an honest dispatch
- * table should not pretend otherwise — the per-group amortized forms
- * (compressedGroupDot and compressedGemmTile) are where AVX2 ekes out a
- * win on that shape.
+ * The AVX2 table keeps the scalar weightedPlaneSum: an eight-word
+ * window is too small for a 256-bit lookup popcount to beat eight scalar
+ * POPCNTs (measured ~0.8-1.0x), and an honest dispatch table should not
+ * pretend otherwise — the per-group amortized form (compressedGemmTile)
+ * is where AVX2 ekes out a win on that shape.
  */
 #include "simd/simd.hpp"
 
@@ -331,56 +330,6 @@ andPopcountTileAvx2(const std::uint64_t *a0, const std::uint64_t *a1,
     out[1] = p01;
     out[2] = p10;
     out[3] = p11;
-}
-
-/**
- * The activation-significance weighting of eight per-plane lane sums
- * (@p lo: planes 0-3, @p hi: planes 4-7): sum over c of 2^c * lane c,
- * the sign plane (c = 7) negative.
- */
-BBS_TARGET_AVX2 inline std::int64_t
-weighActivationPlanesAvx2(__m256i lo, __m256i hi)
-{
-    __m256i shLo = _mm256_sllv_epi64(lo, _mm256_setr_epi64x(0, 1, 2, 3));
-    __m256i shHi = _mm256_sllv_epi64(hi, _mm256_setr_epi64x(4, 5, 6, 7));
-    // Lane 3 of shHi is the activation sign plane: subtract it.
-    __m256i neg = _mm256_sub_epi64(_mm256_setzero_si256(), shHi);
-    __m256i signedHi = _mm256_blend_epi32(shHi, neg, 0xC0);
-    return hsum64x4(_mm256_add_epi64(shLo, signedHi));
-}
-
-BBS_TARGET_AVX2 std::int64_t
-compressedGroupDotAvx2(const std::uint64_t *planes, int bits,
-                       const std::uint64_t *aw)
-{
-    // Lane c of (accLo, accHi) collects sum over weight planes b of
-    // columnWeight(b, bits) * popcount(planes[b] & aw[c]); the final
-    // activation-significance weighting (shift by c, sign lane negates)
-    // runs once per group instead of once per weight plane.
-    const __m256i zero = _mm256_setzero_si256();
-    __m256i awLo = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(aw));
-    __m256i awHi = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(aw + 4));
-    __m256i accLo = zero, accHi = zero;
-    for (int b = 0; b < bits; ++b) {
-        std::uint64_t wb = planes[b];
-        if (wb == 0)
-            continue; // binary pruning leaves many empty planes
-        __m256i vb = _mm256_set1_epi64x(static_cast<long long>(wb));
-        __m256i pcLo = _mm256_slli_epi64(
-            popcnt64x4(_mm256_and_si256(awLo, vb)), b);
-        __m256i pcHi = _mm256_slli_epi64(
-            popcnt64x4(_mm256_and_si256(awHi, vb)), b);
-        if (b == bits - 1) { // stored sign column weighs -2^b
-            accLo = _mm256_sub_epi64(accLo, pcLo);
-            accHi = _mm256_sub_epi64(accHi, pcHi);
-        } else {
-            accLo = _mm256_add_epi64(accLo, pcLo);
-            accHi = _mm256_add_epi64(accHi, pcHi);
-        }
-    }
-    return weighActivationPlanesAvx2(accLo, accHi);
 }
 
 /** Per-16-bit-lane popcount: the pshufb byte counts, summed in
@@ -715,47 +664,11 @@ weighActivationPlanesAvx512(__m512i lanes)
     return _mm512_reduce_add_epi64(sgn);
 }
 
-/** All eight planes in one vector: popcount, then the weighting. */
-BBS_TARGET_AVX512 inline std::int64_t
-weightedPlaneReduceAvx512(__m512i v)
-{
-    return weighActivationPlanesAvx512(_mm512_popcnt_epi64(v));
-}
-
-BBS_TARGET_AVX512 std::int64_t
-weightedPlaneDotAvx512(std::uint64_t wb, const std::uint64_t *aw)
-{
-    return weightedPlaneReduceAvx512(
-        _mm512_and_si512(_mm512_loadu_si512(aw),
-                         _mm512_set1_epi64(static_cast<long long>(wb))));
-}
-
 BBS_TARGET_AVX512 std::int64_t
 weightedPlaneSumAvx512(const std::uint64_t *aw)
 {
-    return weightedPlaneReduceAvx512(_mm512_loadu_si512(aw));
-}
-
-BBS_TARGET_AVX512 std::int64_t
-compressedGroupDotAvx512(const std::uint64_t *planes, int bits,
-                         const std::uint64_t *aw)
-{
-    // Lane c of acc collects sum over weight planes b of
-    // columnWeight(b, bits) * popcount(planes[b] & aw[c]); one weighted
-    // reduce (shift by c, sign lane negates) per group.
-    __m512i va = _mm512_loadu_si512(aw);
-    __m512i acc = _mm512_setzero_si512();
-    for (int b = 0; b < bits; ++b) {
-        std::uint64_t wb = planes[b];
-        if (wb == 0)
-            continue; // binary pruning leaves many empty planes
-        __m512i pc = _mm512_popcnt_epi64(_mm512_and_si512(
-            va, _mm512_set1_epi64(static_cast<long long>(wb))));
-        pc = _mm512_slli_epi64(pc, static_cast<unsigned>(b));
-        acc = (b == bits - 1) ? _mm512_sub_epi64(acc, pc)
-                              : _mm512_add_epi64(acc, pc);
-    }
-    return weighActivationPlanesAvx512(acc);
+    return weighActivationPlanesAvx512(
+        _mm512_popcnt_epi64(_mm512_loadu_si512(aw)));
 }
 
 /** AND+popcount of one broadcast weight plane word against a pair
@@ -924,9 +837,7 @@ const SimdKernels avx512Table = {
     &byteSumAvx512,
     &andPopcountAccumulateAvx512,
     &andPopcountTileAvx512,
-    &weightedPlaneDotAvx512,
     &weightedPlaneSumAvx512,
-    &compressedGroupDotAvx512,
     &compressedGemmTileAvx512Dispatch,
     &effectualOpsSumAvx512,
     &sparseBitsSumAvx512,
@@ -951,7 +862,7 @@ cpuHasAvx512()
 const SimdKernels *
 avx2KernelsOrNull()
 {
-    // weightedPlaneDot/Sum stay scalar: a single 8-word window loses to
+    // weightedPlaneSum stays scalar: a single 8-word window loses to
     // eight scalar POPCNTs on AVX2 (no vector popcount instruction), so
     // the table says so instead of dispatching a pessimization. The
     // benches gate only kernels whose pointer differs from the scalar
@@ -964,9 +875,7 @@ avx2KernelsOrNull()
             &byteSumAvx2,
             &andPopcountAccumulateAvx2,
             &andPopcountTileAvx2,
-            scalarKernels().weightedPlaneDot,
             scalarKernels().weightedPlaneSum,
-            &compressedGroupDotAvx2,
             &compressedGemmTileAvx2Dispatch,
             &effectualOpsSumAvx2,
             &sparseBitsSumAvx2,

@@ -10,7 +10,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
+#include <thread>
 #include <vector>
 
 #include "common/alloc_count.hpp"
@@ -217,6 +219,41 @@ TEST(HotPathTest, ServingDrainPathIsAllocationFreeWhenWarm)
     InferenceResponse resp = fut.get();
     for (std::int64_t c = 0; c < 8; ++c)
         ASSERT_EQ(resp.logits[static_cast<std::size_t>(c)], y.at(0, c));
+}
+
+// Requests that expire in the queue are completed by the draining
+// thread through its per-thread rejection scratch. Once that scratch has
+// held the largest burst, expiring requests allocates nothing more.
+TEST(HotPathTest, ExpiryPathIsAllocationFreeWhenWarm)
+{
+    auto registry = std::make_shared<ModelRegistry>();
+    registry->add("m", makeEngine(64, 48, 8, 0xbeef));
+    ServerConfig cfg;
+    cfg.maxBatch = 16;
+    cfg.maxDelayUs = 0;
+    cfg.workers = 0; // drained below, on the measuring thread
+    InferenceServer server(registry, cfg);
+    const std::vector<float> input(64, 0.5f);
+
+    auto expireRound = [&](int doomed) {
+        std::vector<std::future<InferenceResponse>> futs;
+        for (int i = 0; i < doomed; ++i)
+            futs.push_back(server.submit("m", input, /*deadlineUs=*/1));
+        futs.push_back(server.submit("m", input));
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        std::uint64_t t0 = threadAllocCount();
+        EXPECT_EQ(server.drainOnce(), 1); // the doomed ones expire first
+        std::uint64_t allocs = threadAllocCount() - t0;
+        for (int i = 0; i < doomed; ++i)
+            EXPECT_EQ(futs[static_cast<std::size_t>(i)].get().status,
+                      ServeStatus::DeadlineExpired);
+        EXPECT_EQ(futs.back().get().status, ServeStatus::Ok);
+        return allocs;
+    };
+
+    expireRound(8); // warm-up: batch, forward scratch, rejection scratch
+    for (int doomed : {8, 3, 8})
+        EXPECT_EQ(expireRound(doomed), 0u) << doomed << " expired";
 }
 
 } // namespace

@@ -122,9 +122,6 @@ pinAgainstScalar(const SimdKernels &k, const Buffers &buf,
         const std::uint64_t *aw = a + w;
         ASSERT_EQ(k.weightedPlaneSum(aw), s.weightedPlaneSum(aw))
             << "w=" << w;
-        ASSERT_EQ(k.weightedPlaneDot(b[w], aw),
-                  s.weightedPlaneDot(b[w], aw))
-            << "w=" << w;
     }
 }
 
@@ -192,36 +189,6 @@ TEST(SimdKernels, EffectualAndSparseScansRespectGroupSize)
                 ASSERT_EQ(k.sparseBitsSum(words.data(), n, groupSize),
                           s.sparseBitsSum(words.data(), n, groupSize))
                     << "gs=" << groupSize << " n=" << n;
-            }
-        }
-    }
-}
-
-TEST(SimdKernels, CompressedGroupDotMatchesScalarForEveryStoredWidth)
-{
-    Rng rng(123);
-    for (SimdLevel level : supportedLevels()) {
-        const SimdKernels &k = simdKernelsFor(level);
-        const SimdKernels &s = simdKernelsFor(SimdLevel::Scalar);
-        SCOPED_TRACE(simdLevelName(level));
-        for (int bits = 1; bits <= kWeightBits; ++bits) {
-            for (int rep = 0; rep < 50; ++rep) {
-                std::uint64_t planes[kWeightBits] = {};
-                for (int b = 0; b < bits; ++b) {
-                    // Mix dense, sparse, empty and full planes.
-                    switch (rng.uniformInt(0, 3)) {
-                    case 0: planes[b] = 0; break;
-                    case 1: planes[b] = ~0ull; break;
-                    case 2: planes[b] = rng.next() & rng.next(); break;
-                    default: planes[b] = rng.next(); break;
-                    }
-                }
-                std::uint64_t aw[kWeightBits];
-                for (auto &w : aw)
-                    w = rng.next();
-                ASSERT_EQ(k.compressedGroupDot(planes, bits, aw),
-                          s.compressedGroupDot(planes, bits, aw))
-                    << "bits=" << bits << " rep=" << rep;
             }
         }
     }
